@@ -12,6 +12,10 @@ noise model) ``repeats`` times, cache-off vs cache-on, and gates:
 * cache-on total wall-clock beats cache-off by >= 2x, and
 * every repeat's scientific output is **bit-identical** between the two
   modes (the cache may only skip work, never change a result).
+
+The instance is a BA(m=3) graph: on a BA tree the siblings fall into one
+or two landscape classes that train once per solve with or without the
+cache, so the cache would have almost no training left to skip.
 """
 
 import time
@@ -28,7 +32,7 @@ NUM_SIBLINGS = 16  # m=4, symmetry pruning off => 2**4 executed cells
 
 
 def _problem(num_qubits):
-    graph = barabasi_albert_graph(num_qubits, 1, seed=7)
+    graph = barabasi_albert_graph(num_qubits, 3, seed=7)
     return IsingHamiltonian.from_graph(graph, weights="random_pm1", seed=8)
 
 
@@ -144,8 +148,11 @@ def test_cache_speedup_on_repeated_sweep(benchmark):
     for off, on in zip(uncached, cached):
         assert _signature(off) == _signature(on)
     # Reuse really happened: repeats 2..R trained nothing and compiled
-    # nothing (16 params hits and 1 transpile hit per warm repeat).
-    assert stats["params"]["memory_hits"] >= NUM_SIBLINGS * (repeats - 1)
+    # nothing (one params hit per class trainer — the siblings that did
+    # not adopt a class trainer's parameters — and 1 transpile hit per
+    # warm repeat).
+    trainers = NUM_SIBLINGS - cached[0].num_deduplicated
+    assert stats["params"]["memory_hits"] >= trainers * (repeats - 1)
     assert stats["transpiled"]["memory_hits"] >= repeats - 1
     # The acceptance bar: >= 2x wall-clock on the repeated sweep.
     assert speedup >= 2.0, f"cache speedup {speedup:.2f}x < 2x"

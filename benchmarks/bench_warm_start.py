@@ -12,6 +12,13 @@ siblings trained independently vs warm-started from one representative —
 and gates the acceptance bar: **>= 1.3x fewer objective evaluations at
 equivalent ARG** (the solution quality must not drift by more than the
 tolerance), plus a wall-clock report for the record.
+
+The instance is a BA(m=3) graph, not a BA tree: on a tree the siblings
+fall into one or two landscape classes (fields equal up to sign on every
+component), which train once whatever the warm-start setting, so there
+would be almost no sibling left to warm-start. Mirror twins still share
+one class here; they adopt their twin's parameters and count as
+``num_deduplicated``.
 """
 
 import time
@@ -32,7 +39,7 @@ ARG_TOLERANCE = 2.0
 
 def _solve(num_qubits, num_frozen, warm_start, seed):
     """One full m-frozen solve; returns (result, wall_seconds)."""
-    graph = barabasi_albert_graph(num_qubits, 1, seed=21)
+    graph = barabasi_albert_graph(num_qubits, 3, seed=21)
     hamiltonian = IsingHamiltonian.from_graph(graph, weights="random_pm1", seed=22)
     config = SolverConfig(shots=1024, grid_resolution=12, maxiter=40)
     solver = FrozenQubitsSolver(
@@ -98,9 +105,14 @@ def test_warm_start_eval_reduction(benchmark):
 
     assert cold.num_circuits_executed == 16
     assert warm.num_circuits_executed == 16
-    # Every non-representative sibling either accepted the transfer or
-    # explicitly fell back — nobody silently trained fresh.
-    assert warm.num_warm_started + warm.num_warm_start_rejected == 15
+    # Every non-representative sibling either accepted the transfer,
+    # explicitly fell back, or adopted its landscape-class trainer's
+    # parameters — nobody silently trained fresh.
+    assert (
+        warm.num_warm_started
+        + warm.num_warm_start_rejected
+        + warm.num_deduplicated
+    ) == 15
     # The acceptance bar: >= 1.3x fewer objective evaluations...
     assert reduction >= 1.3, (cold.num_optimizer_evaluations,
                               warm.num_optimizer_evaluations)

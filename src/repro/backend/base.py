@@ -15,7 +15,7 @@ that is what makes ``SerialBackend`` and ``ProcessPoolBackend`` produce
 bit-identical results from the same solver seed.
 
 Dependency contract: a job whose ``spec.warm_start_from`` (optimizer
-seeding), ``spec.params_from`` (dedup adoption), or ``spec.proxy_from``
+seeding), ``spec.params_from`` (parameter adoption), or ``spec.proxy_from``
 (proxy-optimum adoption) names a sibling must be trained *after* that
 sibling, with the sibling's shared optimums injected beforehand (see
 :func:`dependency_levels` and :func:`inject_warm_start`). Injection is a pure function of the source
@@ -100,14 +100,14 @@ class JobSpec:
             job first and inject its parameters (see
             :func:`dependency_levels` / :func:`inject_warm_start`); a
             source missing from the submission degrades to fresh training.
-        params_from: job_id of the structurally-identical sibling whose
-            trained parameters this job *adopts outright* (the cache-dedup
-            path: both jobs carry bit-identical sub-Hamiltonians, and p=1
-            training is deterministic, so the duplicate would retrain the
-            exact same optimum). Backends execute the source first and
-            inject its parameters as ``params`` — the duplicate skips
-            optimization but still samples on its own seed stream. A
-            missing source degrades to fresh training.
+        params_from: job_id of the job whose trained parameters this
+            job *adopts outright*: its landscape-class trainer (a sibling
+            whose QAOA landscape equals this job's, see
+            :func:`repro.ising.landscape_class_key`) or, in a cached batch,
+            an identical instance's trainer. Backends execute the source
+            first and inject its parameters as ``params`` — the adopter
+            skips optimization but still samples on its own seed stream.
+            A missing source degrades to fresh training.
         proxy: This job's :class:`~repro.reduction.ProxySpec`, selecting
             the proxy-landscape training path (train on the sparsified
             canonical-frame proxy, transfer, refine short). ``None`` runs
@@ -594,14 +594,13 @@ def inject_warm_start(
 
     ``params_by_id`` maps finished job_ids to :func:`shared_optimums`
     entries. ``params_from`` adopts the source's full-instance optimum
-    outright (the structural-dedup path: the duplicate skips
-    optimization); ``proxy_from`` adopts the source's *proxy* optimum
-    (this job skips the proxy stage but still refines on its own full
-    instance); ``warm_start_from`` seeds the optimizer via
-    ``initial_params``. Jobs that already carry pre-trained ``params`` or
-    an explicit ``initial_params`` are returned unchanged, as are jobs
-    whose source is missing from ``params_by_id`` (they simply train
-    fresh — a degraded but correct outcome).
+    outright (the adopter skips optimization); ``proxy_from`` adopts the
+    source's *proxy* optimum (this job skips the proxy stage but still
+    refines on its own full instance); ``warm_start_from`` seeds the
+    optimizer via ``initial_params``. Jobs that already carry pre-trained
+    ``params`` or an explicit ``initial_params`` are returned unchanged,
+    as are jobs whose source is missing from ``params_by_id`` (they
+    simply train fresh — a degraded but correct outcome).
     """
     if spec.params is not None:
         return spec

@@ -49,6 +49,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 import time
 import warnings
 from collections import OrderedDict
@@ -132,6 +133,9 @@ class SolveCache:
         )
         self._memory: "OrderedDict[tuple[str, str], Any]" = OrderedDict()
         self._stats: dict[str, dict[str, int]] = {}
+        # One lock guards the memory tier and the counters (threads share
+        # the session-default cache); disk I/O runs outside it.
+        self._lock = threading.RLock()
         self._fault_injection = fault_injection
         self._disk_write_disabled = False
         self._shard_depth = shard_depth
@@ -205,21 +209,24 @@ class SolveCache:
     # Stats
     # ------------------------------------------------------------------
     def _tally(self, kind: str, event: str) -> None:
-        bucket = self._stats.setdefault(
-            kind,
-            {"memory_hits": 0, "disk_hits": 0, "misses": 0, "stores": 0,
-             "evictions": 0, "corrupt": 0, "write_error": 0,
-             "expired": 0, "disk_evictions": 0},
-        )
-        bucket[event] += 1
+        with self._lock:
+            bucket = self._stats.setdefault(
+                kind,
+                {"memory_hits": 0, "disk_hits": 0, "misses": 0, "stores": 0,
+                 "evictions": 0, "corrupt": 0, "write_error": 0,
+                 "expired": 0, "disk_evictions": 0},
+            )
+            bucket[event] += 1
 
     def stats_snapshot(self) -> dict[str, dict[str, int]]:
         """Deep copy of the per-kind counters (hits/misses/stores)."""
-        return {kind: dict(bucket) for kind, bucket in self._stats.items()}
+        with self._lock:
+            return {kind: dict(bucket) for kind, bucket in self._stats.items()}
 
     def reset_stats(self) -> None:
         """Zero every counter (entries are kept)."""
-        self._stats = {}
+        with self._lock:
+            self._stats = {}
 
     # ------------------------------------------------------------------
     # Core get/put
@@ -244,10 +251,11 @@ class SolveCache:
                 re-parsing and re-failing.
         """
         slot = (kind, key)
-        if slot in self._memory:
-            self._memory.move_to_end(slot)
-            self._tally(kind, "memory_hits")
-            return self._memory[slot]
+        with self._lock:
+            if slot in self._memory:
+                self._memory.move_to_end(slot)
+                self._tally(kind, "memory_hits")
+                return self._memory[slot]
         if self._cache_dir is not None and rebuild is not None:
             payload = self._read_payload(kind, key)
             if payload is _CORRUPT:
@@ -309,14 +317,16 @@ class SolveCache:
 
     def clear(self) -> None:
         """Drop every in-memory entry (the disk tier is left alone)."""
-        self._memory.clear()
+        with self._lock:
+            self._memory.clear()
 
     def _insert(self, slot: tuple[str, str], value: Any) -> None:
-        self._memory[slot] = value
-        self._memory.move_to_end(slot)
-        while len(self._memory) > self._capacity:
-            evicted_slot, _ = self._memory.popitem(last=False)
-            self._tally(evicted_slot[0], "evictions")
+        with self._lock:
+            self._memory[slot] = value
+            self._memory.move_to_end(slot)
+            while len(self._memory) > self._capacity:
+                evicted_slot, _ = self._memory.popitem(last=False)
+                self._tally(evicted_slot[0], "evictions")
 
     # ------------------------------------------------------------------
     # Disk tier

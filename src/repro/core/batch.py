@@ -142,12 +142,13 @@ def solve_many(
         prepared.append((solver, plan))
         all_jobs.extend(plan.jobs)
 
-    # Cross-problem structural dedup: prepare_jobs dedups within one
+    # Cross-problem dedup: prepare_jobs shares training within one
     # problem, but a batch may repeat instances (sweep trials), and the
-    # trained-parameter key is seed-independent — so link later duplicates
-    # to the first trainer across the whole submission. The adopting jobs
-    # skip optimization and still sample on their own streams (p=1
-    # training is deterministic, so this changes no result bit).
+    # trained-parameter key is seed-independent — so link later class
+    # trainers to the first trainer of the same key across the whole
+    # submission. The adopting jobs skip optimization and still sample on
+    # their own streams (p=1 training is deterministic, so this changes
+    # no result bit).
     if solve_cache is not None:
         trainer_by_key: dict[str, str] = {}
         for _, plan in prepared:

@@ -26,7 +26,9 @@ cells at a ranked top-k — the remaining assignments are covered by a
 classical annealing fallback so the decoded result still partitions the
 full state-space — and enable cross-sibling warm starts, where one
 representative sibling trains fresh and seeds every other sibling's
-optimizer with its ``(gamma, beta)``.
+optimizer with its ``(gamma, beta)``. Independently of planning, siblings
+whose QAOA landscapes coincide (fields equal up to sign on every connected
+component, Sec. 3.7.2 generalized) train once per class.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from repro.exceptions import SolverError
 from repro.ising.annealer import AnnealResult
 from repro.ising.freeze import decode_spins
 from repro.ising.hamiltonian import IsingHamiltonian
+from repro.ising.symmetry import landscape_class_key
 from repro.qaoa.circuits import build_qaoa_template, linear_tag
 from repro.qaoa.executor import (
     EvaluationContext,
@@ -700,9 +703,12 @@ class FrozenQubitsResult:
         num_warm_start_rejected: Executed cells where the transfer was
             offered but evaluated no better than untrained, so training
             fell back to a fresh start.
-        num_deduplicated: Executed cells that adopted a structurally-
-            identical sibling's trained parameters outright (the cache
-            dedup path) instead of training.
+        num_deduplicated: Executed cells that adopted another job's
+            trained parameters outright instead of training: a sibling in
+            the same landscape class (fields equal up to per-component
+            sign, see :func:`repro.ising.landscape_class_key`), or, in a
+            cached :func:`~repro.core.solve_many` batch, an identical
+            instance's trainer.
         num_proxy_evaluations: Total objective evaluations spent on
             *proxy* instances (the Red-QAOA path) — separate from
             ``num_optimizer_evaluations``, which stays full-instance-only
@@ -855,9 +861,10 @@ class PreparedSolve:
         plan: The freeze plan this prepare followed (``None`` for the
             legacy fixed-``m`` path).
         warm_start: Whether sibling jobs carry warm-start metadata.
-        params_keys: job_id -> trained-parameter cache key, for the jobs
-            whose training outcome is cacheable (p = 1); finalize stores
-            each freshly-trained result under its key.
+        params_keys: job_id -> trained-parameter cache key, for the
+            landscape-class trainers whose training outcome is cacheable
+            (p = 1); finalize stores each freshly-trained result under its
+            key.
         proxy_keys: job_id -> proxy-training cache key, for the jobs whose
             proxy optimum is cacheable (fresh-mode trainings: no warm
             start, no sibling adoption); finalize stores each one so later
@@ -934,10 +941,12 @@ class FrozenQubitsSolver:
             the session default installed via
             :func:`repro.cache.set_default_cache`). With a cache active,
             transpiles and p=1 trainings are answered from (and recorded
-            into) the store, structurally-identical siblings collapse to
-            one training run, and classical fallbacks/probes are memoized
+            into) the store, and classical fallbacks/probes are memoized
             — all without changing any result bit (see
-            ``tests/test_determinism.py``). One exception to the scoping:
+            ``tests/test_determinism.py``). Sharing within a solve needs
+            no cache: siblings whose fields agree up to sign on every
+            connected component share one training run at every p, cache
+            on or off. One exception to the scoping:
             the *sampling-cap* fallback (instances over
             ``max_sampled_qubits``) runs inside backend workers, which
             this per-solver cache cannot reach — it memoizes against the
@@ -1000,8 +1009,11 @@ class FrozenQubitsSolver:
         count, the cells are triaged (annealer probe + offset bound, see
         :func:`repro.planning.rank_assignments`) and only the top-k become
         jobs; the rest are recorded as :class:`SkippedAssignment` for the
-        classical fallback at finalize time. With warm starts enabled, the
-        first executed cell is the representative and every other job
+        classical fallback at finalize time. The executed cells are grouped
+        into landscape classes (:func:`repro.ising.landscape_class_key`):
+        the first cell of each class trains and every other member carries
+        ``params_from`` pointing at it. With warm starts enabled, the first
+        executed cell is the representative and every other class trainer
         carries ``warm_start_from`` metadata pointing at it.
 
         Args:
@@ -1012,7 +1024,8 @@ class FrozenQubitsSolver:
 
         Returns:
             A :class:`PreparedSolve` whose ``jobs`` an execution backend can
-            run in any order or concurrently (warm-start sources first).
+            run in any order or concurrently (trainers and warm-start
+            sources first).
         """
         from repro.backend.base import JobSpec
 
@@ -1122,11 +1135,30 @@ class FrozenQubitsSolver:
         warm = warm and len(executed) >= 2
         representative_id = f"{job_prefix}sp{executed[0].index}" if executed else None
 
-        # Trained-parameter reuse (cache hits across runs, structural dedup
-        # within this one) is restricted to p=1, where training consumes no
-        # RNG draws: skipping it leaves each job's sampling stream exactly
-        # where the uncached path would have left it, which is what keeps
-        # cached and uncached solves bit-identical.
+        # Landscape classes (Sec. 3.7.2, per component): siblings share
+        # every coupling, so those whose fields agree up to sign on every
+        # connected component have the same QAOA landscape at every p.
+        # The first executed cell of each class trains; the others adopt
+        # its parameters (params_from) and sample on their own streams.
+        # Under train_noisy only exactly equal fields group: asymmetric
+        # readout breaks the flip symmetry of the noisy objective.
+        trainer_by_class: dict[tuple, str] = {}
+        adopts_from: dict[int, str] = {}
+        for sp in executed:
+            class_key = landscape_class_key(
+                sp.hamiltonian, flips=not cfg.train_noisy
+            )
+            job_id = f"{job_prefix}sp{sp.index}"
+            trainer = trainer_by_class.setdefault(class_key, job_id)
+            if trainer != job_id:
+                adopts_from[sp.index] = trainer
+
+        # Trained-parameter cache hits are restricted to p=1, where
+        # training consumes no RNG draws: skipping it leaves each job's
+        # sampling stream exactly where the uncached path would have left
+        # it. Only class trainers read or write the cache, under their own
+        # exact keys, which is what keeps cached and uncached solves
+        # bit-identical.
         params_cacheable = self._cache is not None and cfg.num_layers == 1
         noise_signature = (
             noise_profile.signature() if noise_profile is not None else "ideal"
@@ -1138,8 +1170,8 @@ class FrozenQubitsSolver:
                 executed[0].hamiltonian, noise_signature, mode="fresh"
             )
 
-        # Proxy-landscape planning (the Red-QAOA path): build each executed
-        # cell's canonical-frame proxy up front and answer what can be
+        # Proxy-landscape planning (the Red-QAOA path): build each class
+        # trainer's canonical-frame proxy up front and answer what can be
         # answered from cache. The proxy optimizer's seed is derived from
         # the canonical digest — never drawn from the solve stream — so
         # planning here consumes no randomness and cache hits change no
@@ -1151,6 +1183,8 @@ class FrozenQubitsSolver:
             from repro.reduction import plan_proxy
 
             for sp in executed:
+                if sp.index in adopts_from:
+                    continue
                 proxy_spec = plan_proxy(sp.hamiltonian, cfg)
                 if proxy_spec is None:
                     continue
@@ -1166,7 +1200,6 @@ class FrozenQubitsSolver:
 
         jobs: list[JobSpec] = []
         edited = 0
-        trainer_by_key: dict[str, str] = {}
         proxy_keys: dict[str, str] = {}
         proxy_trainer_by_key: dict[tuple, str] = {}
         for sp in executed:
@@ -1187,43 +1220,30 @@ class FrozenQubitsSolver:
                     edited += 1
                 _assert_own_coefficients(job_template, sp.hamiltonian, support)
             job_id = f"{job_prefix}sp{sp.index}"
+            params_from = adopts_from.get(sp.index)
             warm_source = (
                 representative_id
-                if warm and job_id != representative_id
+                if warm and job_id != representative_id and params_from is None
                 else None
             )
             cached_params = None
-            params_from = None
-            if params_cacheable:
-                if job_id == representative_id or warm_source is None:
-                    key = (
-                        representative_key
-                        if job_id == representative_id
-                        else self._params_key(
-                            sp.hamiltonian, noise_signature, mode="fresh"
-                        )
-                    )
+            if params_cacheable and params_from is None:
+                if job_id == representative_id:
+                    key = representative_key
                 else:
+                    mode = (
+                        "fresh" if warm_source is None
+                        else f"warm:{representative_key}"
+                    )
                     key = self._params_key(
-                        sp.hamiltonian,
-                        noise_signature,
-                        mode=f"warm:{representative_key}",
+                        sp.hamiltonian, noise_signature, mode
                     )
                 params_keys[job_id] = key
                 cached_params = self._cache.get(
                     "params", key, rebuild=params_rebuild
                 )
-                if cached_params is None:
-                    # Structural dedup: a later sibling whose (instance,
-                    # training mode) key matches an earlier one adopts that
-                    # trainer's parameters instead of re-deriving them.
-                    trainer = trainer_by_key.get(key)
-                    if trainer is None:
-                        trainer_by_key[key] = job_id
-                    else:
-                        params_from = trainer
-            if cached_params is not None or params_from is not None:
-                warm_source = None
+                if cached_params is not None:
+                    warm_source = None
             proxy_spec = None
             proxy_from = None
             if cached_params is None and params_from is None:
@@ -1234,7 +1254,7 @@ class FrozenQubitsSolver:
                     # transfer replaces the sibling warm start outright.
                     warm_source = None
                 else:
-                    # Within-solve dedup: siblings whose proxy *and* warm
+                    # Within-solve dedup: trainers whose proxy *and* warm
                     # source coincide would train the identical proxy —
                     # the first one trains, the rest adopt its optimum
                     # (injected at the backend's dependency levels).

@@ -3,8 +3,9 @@
 Implements Eq. (1) of the paper — ``C(z) = sum_i h_i z_i + sum_{i<j} J_ij
 z_i z_j + offset`` with ``z_i in {-1, +1}`` — plus the freezing transform of
 Sec. 3.3 (Eqs. 2-3 and Table 2), the spin-flip symmetry theorem of
-Sec. 3.7.2, and the classical solvers used as references (vectorised brute
-force and simulated annealing).
+Sec. 3.7.2 (and its per-component landscape classes), and the classical
+solvers used as references (vectorised brute force and simulated
+annealing).
 """
 
 from repro.ising.annealer import AnnealResult, simulated_annealing
@@ -20,8 +21,10 @@ from repro.ising.freeze import (
 from repro.ising.hamiltonian import IsingHamiltonian
 from repro.ising.qubo import ising_to_qubo, qubo_to_ising
 from repro.ising.symmetry import (
+    connected_components,
     count_ground_states,
     has_spin_flip_symmetry,
+    landscape_class_key,
     verify_spin_flip_symmetry,
 )
 
@@ -33,6 +36,7 @@ __all__ = [
     "IsingHamiltonian",
     "anneal_many",
     "brute_force_minimum",
+    "connected_components",
     "count_ground_states",
     "decode_spins",
     "energy_table",
@@ -41,6 +45,7 @@ __all__ = [
     "frozen_assignments",
     "has_spin_flip_symmetry",
     "ising_to_qubo",
+    "landscape_class_key",
     "qubo_to_ising",
     "simulated_annealing",
     "verify_spin_flip_symmetry",

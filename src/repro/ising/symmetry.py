@@ -8,6 +8,16 @@ mirror images, and FrozenQubits only needs to run one of them, flipping its
 outcomes to recover the other (halving the quantum cost). The helpers here
 both *decide* the symmetry condition and *verify* it empirically, and count
 ground states (the paper notes the count is even under symmetry).
+
+The theorem generalizes per connected component of the interaction graph:
+flipping every spin of one component negates that component's fields and
+leaves every coupling unchanged (no coupling leaves the component). The
+flip is a product of Pauli-X gates, which commutes with the X mixer and
+fixes ``|+>^n``, so two Hamiltonians with the same couplings whose fields
+agree up to sign on every component have the same QAOA expectation at
+every ``(gamma, beta)`` and every depth p. :func:`landscape_class_key`
+names that equivalence class, which is how the siblings of one fan-out
+(which share every coupling) share one training run.
 """
 
 from __future__ import annotations
@@ -29,6 +39,69 @@ def has_spin_flip_symmetry(
     C(-z) equally).
     """
     return hamiltonian.has_zero_linear(tolerance)
+
+
+def connected_components(
+    hamiltonian: IsingHamiltonian,
+) -> list[tuple[int, ...]]:
+    """Connected components of the interaction graph, by smallest member.
+
+    Isolated qubits (no quadratic term) each form their own singleton
+    component.
+    """
+    n = hamiltonian.num_qubits
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for i, j in hamiltonian.quadratic:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    seen = [False] * n
+    components: list[tuple[int, ...]] = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        members = [start]
+        while stack:
+            node = stack.pop()
+            for neighbor in adjacency[node]:
+                if not seen[neighbor]:
+                    seen[neighbor] = True
+                    stack.append(neighbor)
+                    members.append(neighbor)
+        components.append(tuple(sorted(members)))
+    return components
+
+
+def landscape_class_key(
+    hamiltonian: IsingHamiltonian, flips: bool = True
+) -> tuple:
+    """The QAOA landscape class of a Hamiltonian among same-coupling peers.
+
+    Each connected component contributes its field vector, negated when
+    its first nonzero entry is negative (``flips=True``), so two
+    Hamiltonians with equal couplings get equal keys exactly when one is
+    the other with some components' spins flipped — and then their QAOA
+    expectations agree at every ``(gamma, beta)``. ``-0.0`` is normalized
+    to ``0.0``. The key ignores the couplings and the offset: compare keys
+    only among Hamiltonians that share every coupling (the siblings of one
+    fan-out), where the offset shifts the landscape by a constant.
+
+    Args:
+        hamiltonian: The Hamiltonian to classify.
+        flips: Canonicalize each component's sign. ``False`` keys on the
+            exact fields — for objectives the flip does not preserve, such
+            as a noisy expectation under asymmetric readout error.
+    """
+    fields = hamiltonian.linear.tolist()
+    key = []
+    for members in connected_components(hamiltonian):
+        values = [fields[q] for q in members]
+        if flips and next((v for v in values if v != 0.0), 0.0) < 0.0:
+            values = [-v for v in values]
+        # Adding +0.0 maps -0.0 to 0.0 and leaves every other value alone.
+        key.append(tuple(v + 0.0 for v in values))
+    return tuple(key)
 
 
 def verify_spin_flip_symmetry(

@@ -38,6 +38,7 @@ from repro.core.partition import (
 )
 from repro.exceptions import RecursiveError
 from repro.ising.hamiltonian import IsingHamiltonian
+from repro.ising.symmetry import connected_components
 from repro.utils.rng import ensure_rng, spawn_seeds
 
 if TYPE_CHECKING:
@@ -306,38 +307,6 @@ class FreezeTree:
         return "\n".join(lines)
 
 
-def _connected_components(
-    hamiltonian: IsingHamiltonian,
-) -> list[tuple[int, ...]]:
-    """Connected components of the interaction graph, by smallest member.
-
-    Isolated qubits (no quadratic term) each form their own singleton
-    component — downstream they become closed nodes, solved for free.
-    """
-    n = hamiltonian.num_qubits
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i, j in hamiltonian.quadratic:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    seen = [False] * n
-    components: list[tuple[int, ...]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        members = [start]
-        while stack:
-            node = stack.pop()
-            for neighbor in adjacency[node]:
-                if not seen[neighbor]:
-                    seen[neighbor] = True
-                    stack.append(neighbor)
-                    members.append(neighbor)
-        components.append(tuple(sorted(members)))
-    return components
-
-
 def component_hamiltonians(
     hamiltonian: IsingHamiltonian,
     components: "list[tuple[int, ...]]",
@@ -451,7 +420,7 @@ def plan_tree(
             return FreezeNode(kind="leaf", path=path, depth=depth,
                               hamiltonian=h, forced=forced)
         if cfg.split_components:
-            components = _connected_components(h)
+            components = connected_components(h)
             if len(components) > 1:
                 count("split", depth)
                 subs = component_hamiltonians(h, components)

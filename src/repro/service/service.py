@@ -15,9 +15,8 @@ explicit:
   gets a structured :class:`~repro.exceptions.ServiceTimeout` carrying
   provenance (stage reached, jobs finished) — never a hang.
 * **Request coalescing** — concurrent requests for the same instance
-  (same exact Ising fingerprint, same solver options — grouped under
-  the relabel/mirror-invariant canonical key for observability) ride
-  one training run: the leader executes, every sibling's future is fed
+  (same exact Ising fingerprint, same solver options) ride one
+  training run: the leader executes, every sibling's future is fed
   from the same result. N identical requests cost one solve and each
   response stays bit-identical to a direct ``solver.solve()``.
 * **Circuit breaking with classical degradation** — consecutive
@@ -533,16 +532,14 @@ class SolveService:
     def _coalesce_key(request: SolveRequest) -> tuple:
         """The in-flight identity two requests must share to ride one solve.
 
-        The exact Ising fingerprint (not just the canonical digest —
-        relabeled twins have different spin frames, and fan-out must be
+        The exact Ising fingerprint (a canonical key would also group
+        relabeled twins, whose spin frames differ, and fan-out must be
         bit-identical), plus everything else that shapes the answer:
-        m, seed, backend, and solver options. The canonical digest still
-        leads the key so operators can group relatives in dashboards.
+        m, seed, backend, and solver options.
         """
-        from repro.cache.keys import canonical_ising_key, ising_fingerprint
+        from repro.cache.keys import ising_fingerprint
 
         return (
-            canonical_ising_key(request.hamiltonian).digest,
             ising_fingerprint(request.hamiltonian),
             request.num_frozen,
             request.seed,

@@ -13,6 +13,7 @@ layers can use it without a layering cycle.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from collections.abc import Callable, Hashable
 from typing import Generic, TypeVar
@@ -25,7 +26,11 @@ class BoundedMemo(Generic[V]):
 
     Values are expected to be shared, effectively-immutable objects (the
     caller must not mutate what it gets back). Hits refresh recency;
-    inserts beyond the bound evict the least recently used entry.
+    inserts beyond the bound evict the least recently used entry. Safe to
+    share between threads: a lock guards the lookup and the insert, and
+    ``build`` runs outside it, so two threads that miss the same key at
+    once may both build it (the later insert wins; values are derived
+    from the key, so either serves).
     """
 
     def __init__(self, max_entries: int) -> None:
@@ -33,17 +38,20 @@ class BoundedMemo(Generic[V]):
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._entries: "OrderedDict[Hashable, V]" = OrderedDict()
         self._max_entries = max_entries
+        self._lock = threading.Lock()
 
     def get_or_build(self, key: Hashable, build: "Callable[[], V]") -> V:
         """The memoized value for ``key``, building (and storing) on miss."""
-        hit = self._entries.get(key)
-        if hit is not None:
-            self._entries.move_to_end(key)
-            return hit
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None:
+                self._entries.move_to_end(key)
+                return hit
         value = build()
-        self._entries[key] = value
-        if len(self._entries) > self._max_entries:
-            self._entries.popitem(last=False)
+        with self._lock:
+            self._entries[key] = value
+            if len(self._entries) > self._max_entries:
+                self._entries.popitem(last=False)
         return value
 
     def __len__(self) -> int:

@@ -1,4 +1,11 @@
-"""Multi-process sharing of one sharded :class:`~repro.cache.SolveCache`.
+"""Concurrent sharing of one :class:`~repro.cache.SolveCache` and its memos.
+
+Threads: the solve service runs several solves on threads that share the
+session-default cache and the process-wide memos, so their LRU
+bookkeeping must hold up under a switch interval of one microsecond —
+no exception escapes and every get and put is tallied exactly once.
+
+Processes: two processes sharing one sharded cache directory.
 
 The satellite contract: two processes hammering the same cache
 directory — one with every disk write torn mid-payload, the other with
@@ -18,9 +25,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sys
+import threading
 
 from repro.cache import SolveCache
 from repro.faults import FaultInjection
+from repro.utils.memo import BoundedMemo
 
 _KEYS = [f"deadbeef{i:02d}" for i in range(12)]
 _ROUNDS = 15
@@ -131,3 +141,77 @@ def test_concurrent_openers_agree_on_the_pinned_layout(tmp_path):
     assert os.path.exists(
         os.path.join(cache_dir, "demo", "a", "b", "c", "abcdef.json")
     )
+
+
+# ----------------------------------------------------------------------
+# Threads
+# ----------------------------------------------------------------------
+_THREADS = 4
+_THREAD_ROUNDS = 20000
+
+
+def _hammer_threads(work) -> list:
+    """Run ``work(thread_index)`` on several threads at a 1 us switch
+    interval; returns every exception message a thread raised."""
+    errors: list = []
+    start = threading.Barrier(_THREADS)
+
+    def run(index):
+        start.wait(timeout=60)
+        try:
+            work(index)
+        except Exception as exc:  # noqa: BLE001 — collected, then asserted
+            errors.append(f"thread {index}: {type(exc).__name__}: {exc!r}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=run, args=(i,)) for i in range(_THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return errors
+
+
+def test_threads_share_a_small_cache_without_errors():
+    cache = SolveCache(capacity=4)
+    keys = [f"key{i}" for i in range(8)]
+    wrong: list = []
+
+    def work(index):
+        for step in range(_THREAD_ROUNDS):
+            cache.put("demo", keys[(index + step) % 8], keys[(index + step) % 8])
+            wanted = keys[(3 * index + step) % 8]
+            value = cache.get("demo", wanted)
+            if value is not None and value != wanted:
+                wrong.append((wanted, value))
+
+    assert _hammer_threads(work) == []
+    assert wrong == []
+    assert len(cache) <= 4
+    stats = cache.stats_snapshot()["demo"]
+    total = _THREADS * _THREAD_ROUNDS
+    assert stats["stores"] == total
+    assert stats["memory_hits"] + stats["misses"] == total
+
+
+def test_threads_share_a_small_memo_without_errors():
+    memo: BoundedMemo = BoundedMemo(max_entries=4)
+    wrong: list = []
+
+    def work(index):
+        for step in range(_THREAD_ROUNDS):
+            key = (3 * index + step) % 8
+            value = memo.get_or_build(key, lambda key=key: ("built", key))
+            if value != ("built", key):
+                wrong.append((key, value))
+
+    assert _hammer_threads(work) == []
+    assert wrong == []
+    assert len(memo) <= 4

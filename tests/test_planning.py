@@ -388,7 +388,14 @@ class TestWarmStarts:
             seed=19,
             warm_start=True,
         ).solve(ba10_hamiltonian)
-        assert warm.num_warm_started + warm.num_warm_start_rejected == 7
+        # Every non-representative sibling accepted the transfer, fell
+        # back, or adopted its landscape-class trainer's parameters.
+        assert (
+            warm.num_warm_started
+            + warm.num_warm_start_rejected
+            + warm.num_deduplicated
+        ) == 7
+        assert warm.num_warm_started + warm.num_warm_start_rejected >= 1
         assert warm.num_optimizer_evaluations < cold.num_optimizer_evaluations
         assert warm.best_value == pytest.approx(cold.best_value)
 
@@ -422,8 +429,16 @@ class TestWarmStarts:
         assert prepared.warm_start
         representative = prepared.jobs[0]
         assert representative.warm_start_from is None
+        assert representative.params_from is None
+        # Class trainers warm-start from the representative; the other
+        # members adopt their class trainer's parameters instead.
+        trainers = [job for job in prepared.jobs[1:] if job.params_from is None]
+        assert trainers
         for job in prepared.jobs[1:]:
-            assert job.warm_start_from == representative.job_id
+            if job.params_from is None:
+                assert job.warm_start_from == representative.job_id
+            else:
+                assert job.warm_start_from is None
 
     def test_serial_process_equivalence_with_warm_start(
         self, ba10_hamiltonian
@@ -518,9 +533,16 @@ class TestOptimizerInitialPoint:
 
 
 class TestSolveManyPlanning:
-    def test_budget_and_warm_start_passthrough(self, ba10_hamiltonian):
+    def test_budget_and_warm_start_passthrough(self):
+        # Attachment 2: the two budgeted cells fall into different
+        # landscape classes, so the second one warm-starts from the first
+        # instead of adopting its parameters.
+        graph = barabasi_albert_graph(10, attachment=2, seed=5)
+        hamiltonian = IsingHamiltonian.from_graph(
+            graph, weights="random_pm1", seed=6
+        )
         results = solve_many(
-            [ba10_hamiltonian, ba10_hamiltonian],
+            [hamiltonian, hamiltonian],
             num_frozen=3,
             prune_symmetric=False,
             config=FAST,
@@ -531,6 +553,7 @@ class TestSolveManyPlanning:
         for result in results:
             assert result.num_circuits_executed == 2
             assert len(result.skipped_assignments) == 6
+            assert result.num_deduplicated == 0
             assert result.num_warm_started + result.num_warm_start_rejected == 1
 
     def test_per_problem_plans(self, ba10_hamiltonian):

@@ -13,6 +13,7 @@ from repro.graphs import barabasi_albert_graph
 from repro.ising.bruteforce import brute_force_minimum
 from repro.ising.freeze import decode_spins, freeze_qubits
 from repro.ising.hamiltonian import IsingHamiltonian, random_pm1_hamiltonian
+from repro.ising.symmetry import connected_components
 from repro.planning import ExecutionBudget
 from repro.recursive import (
     RecursiveConfig,
@@ -21,7 +22,6 @@ from repro.recursive import (
     plan_tree,
     solve_recursive,
 )
-from repro.recursive.tree import _connected_components
 
 
 def powerlaw_instance(num_nodes, seed):
@@ -53,7 +53,7 @@ class TestComponents:
     def test_components_partition_the_qubits(self):
         h = powerlaw_instance(30, seed=4)
         sub, _spec = freeze_qubits(h, [0, 1], [1, 1])
-        components = _connected_components(sub)
+        components = connected_components(sub)
         seen = sorted(q for component in components for q in component)
         assert seen == list(range(sub.num_qubits))
 
@@ -63,7 +63,7 @@ class TestComponents:
         # the parent's value exactly (integer couplings -> exact floats).
         h = powerlaw_instance(24, seed=9)
         sub, _spec = freeze_qubits(h, [0], [1])
-        components = _connected_components(sub)
+        components = connected_components(sub)
         assert len(components) > 1
         subs = component_hamiltonians(sub, components)
         rng = np.random.default_rng(3)
