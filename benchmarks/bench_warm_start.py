@@ -5,7 +5,7 @@ landscapes nearly coincide — one trained representative's ``(γ, β)`` is a
 near-optimal start for every other sibling (the Red-QAOA observation
 applied to the FrozenQubits fan-out). Warm-started training replaces the
 ``grid_resolution²``-point seeding scan with two evaluations (baseline +
-transferred point) and a Nelder-Mead refinement.
+transferred point) and an L-BFGS-B refinement.
 
 This bench runs the same 16-sibling fan-out (m = 4, pruning off) twice —
 siblings trained independently vs warm-started from one representative —

@@ -105,9 +105,8 @@ def landscape_sharpness_curve(
             target = executed_subproblems(parts)[0].hamiltonian
         context = make_context(target, num_layers=1, device=device)
         scan = landscape_scan(
-            None,
+            batch_objective(context, noisy=device is not None),
             resolution=resolution,
-            evaluate_batch=batch_objective(context, noisy=device is not None),
         )
         sharpness = scan.sharpness()
         if sharpness == 0.0:

@@ -256,7 +256,6 @@ def train_job(spec: JobSpec) -> TrainedInstance:
             num_layers=spec.config.num_layers,
             transpiled=spec.transpiled,
             noise_profile=spec.noise_profile,
-            vectorized=spec.config.vectorized_evaluation,
         )
     return train_qaoa_instance(
         spec.hamiltonian,

@@ -13,11 +13,6 @@ contractions. The run is therefore phased:
 3. **simulate** each group with one stacked fused pass,
 4. **finish** every job in order, feeding it its pre-computed distribution.
 
-Legacy scalar instances (``vectorized_evaluation=False``) carry a bound
-sampling circuit instead; those fall back to the signature-grouped
-stacked gate loop of :mod:`repro.sim.batched`, mirroring the serial
-finish path's circuit simulation.
-
 Per-job RNG streams are untouched by the re-ordering, so results match
 ``SerialBackend`` up to floating-point reassociation inside the stacked
 elementwise kernels (and exactly in the common case where they
@@ -52,7 +47,6 @@ from repro.backend.base import (
 from repro.cache.memo import cached_anneal_many
 from repro.exceptions import JobError, JobTimeout, SolverError
 from repro.ising.annealer import AnnealResult
-from repro.sim.batched import batched_probabilities, group_by_signature
 from repro.sim.qaoa_kernel import qaoa_probabilities_fanout
 
 if TYPE_CHECKING:
@@ -192,21 +186,16 @@ class BatchedStatevectorBackend(ExecutionBackend):
                     instance.optimization
                 )
 
-        # Group the jobs that need a simulation and run one stacked pass
-        # per group (chunked to bound memory): fused fan-out passes keyed
-        # by (width, depth) for vectorized instances, signature-grouped
-        # stacked gate loops for legacy scalar instances (which carry a
-        # bound circuit). Each pass's duration is split evenly across its
-        # members for the bookkeeping.
+        # Group the jobs that need a simulation by (width, depth) and run
+        # one stacked fused pass per group (chunked to bound memory). Each
+        # pass's duration is split evenly across its members for the
+        # bookkeeping.
         probs_for_job = {}
         fused_groups: dict[tuple, list[int]] = {}
-        circuit_indices: list[int] = []
         for index, instance in enumerate(trained):
             if instance is None:
                 continue  # terminally failed in training; no simulation
-            if instance.sampling_circuit is not None:
-                circuit_indices.append(index)
-            elif instance.needs_sampling:
+            if instance.needs_sampling:
                 key = (
                     instance.hamiltonian.num_qubits,
                     len(instance.optimization.gammas),
@@ -231,38 +220,17 @@ class BatchedStatevectorBackend(ExecutionBackend):
                 for row, job_index in zip(rows, chunk):
                     probs_for_job[job_index] = row
                     elapsed[job_index] += share
-        signature_groups = group_by_signature(
-            [trained[index].sampling_circuit for index in circuit_indices]
-        )
-        for positions in signature_groups.values():
-            for chunk_start in range(0, len(positions), self._max_batch_size):
-                chunk = positions[chunk_start : chunk_start + self._max_batch_size]
-                circuits = [
-                    trained[circuit_indices[p]].sampling_circuit for p in chunk
-                ]
-                t0 = time.perf_counter()
-                rows = batched_probabilities(circuits)
-                share = (time.perf_counter() - t0) / len(chunk)
-                for row, position in zip(rows, chunk):
-                    job_index = circuit_indices[position]
-                    probs_for_job[job_index] = row
-                    elapsed[job_index] += share
 
         # Sampling-cap fallbacks: anneal every uncovered instance in one
         # batched multi-replica pass. The per-instance fallback seed is
         # drawn from the instance's own stream exactly as the serial
         # finish path would (see sampling_cap_fallback_anneal), so the
-        # batching changes no result bit. Legacy-engine instances
-        # (vectorized_annealer=False) keep their generator-driven
-        # per-instance call inside finish_qaoa_instance.
+        # batching changes no result bit.
         fallback_for_job: dict[int, AnnealResult] = {}
         fallback_indices = [
             index
             for index, instance in enumerate(trained)
-            if instance is not None
-            and not instance.needs_sampling
-            and instance.sampling_circuit is None
-            and instance.config.vectorized_annealer
+            if instance is not None and not instance.needs_sampling
         ]
         if fallback_indices:
             from repro.cache import get_default_cache

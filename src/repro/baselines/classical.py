@@ -86,7 +86,6 @@ def solve_classically(
     seed: "int | np.random.Generator | None" = None,
     exact_threshold: int = 20,
     cache: "SolveCache | None" = None,
-    vectorized: bool = True,
 ) -> ClassicalResult:
     """Solve an Ising problem classically.
 
@@ -98,9 +97,6 @@ def solve_classically(
         exact_threshold: Size cut-over for ``"auto"``.
         cache: Optional solve cache; exact solves (always) and annealing
             solves (when ``seed`` is an integer) are memoized.
-        vectorized: Anneal through the batched multi-replica engine
-            (default); ``False`` pins the legacy scalar loop
-            (bit-identical to historical seeded results).
 
     Raises:
         SolverError: Unknown method or exact on an oversized problem.
@@ -118,9 +114,7 @@ def solve_classically(
             value=result.value, spins=result.spins, method="exact", exact=True
         )
     if method == "anneal":
-        result = cached_simulated_annealing(
-            hamiltonian, seed=seed, cache=cache, vectorized=vectorized
-        )
+        result = cached_simulated_annealing(hamiltonian, seed=seed, cache=cache)
         return ClassicalResult(
             value=result.value, spins=result.spins, method="anneal", exact=False
         )

@@ -157,28 +157,20 @@ def anneal_key(
     initial_temperature: float,
     final_temperature: float,
     seed: int,
-    engine: str = "scalar",
 ) -> str:
     """Memoization key of one seeded ``simulated_annealing`` call.
 
     The seed is part of the key: annealing is stochastic, so only the
     *exact same call* may be answered from cache — which is precisely what
     repeated sweeps re-issue, and what keeps cached runs bit-identical to
-    uncached ones.
-
-    The ``engine`` is part of the key too: the legacy scalar loop and the
-    vectorized replica engine consume randomness in different orders, so
-    the same seed yields different (equally valid) results on each — a
-    cached answer from one engine must never satisfy the other. The
-    ``"scalar"`` spelling preserves the historical key format, so warm
-    disk caches from before the vectorized engine stay valid for the
-    legacy path.
+    uncached ones. The trailing ``|vectorized`` token names the batched
+    replica engine; it keeps the spelling earlier releases wrote, so warm
+    disk caches stay valid.
     """
-    suffix = "" if engine == "scalar" else f"|{engine}"
     return _sha(
         f"anneal|{ising_fingerprint(hamiltonian)}|{num_sweeps}|{num_restarts}|"
         f"{_ftok(initial_temperature)}|{_ftok(final_temperature)}|{int(seed)}"
-        f"{suffix}"
+        "|vectorized"
     )
 
 
@@ -195,7 +187,6 @@ def params_key(
     train_noisy: bool,
     noise_signature: str,
     mode: str = "fresh",
-    optimizer: str = "nm",
 ) -> str:
     """Cache key of one QAOA training run's ``(gammas, betas)`` outcome.
 
@@ -206,21 +197,15 @@ def params_key(
     warm-started run (whose outcome additionally depends on the transferred
     initial point, itself pinned by the source's key). Shots are excluded:
     they only affect sampling, which always runs live on the job's own
-    stream.
-
-    ``optimizer`` names the refinement engine — ``"nm"`` (Nelder-Mead, the
-    legacy default whose spelling preserves the historical key format) or
-    ``"lbfgs"`` (the analytic-gradient L-BFGS-B path): the two settle on
-    different floats for the same instance, so their outcomes must never
-    answer each other's lookups.
+    stream. The trailing ``|opt=lbfgs`` token names the L-BFGS-B refiner;
+    it keeps the spelling earlier releases wrote, so warm disk caches stay
+    valid.
     """
-    token = (
+    return _sha(
         f"params|{fingerprint}|p={num_layers}|grid={grid_resolution}|"
         f"maxiter={maxiter}|noisy={train_noisy}|{noise_signature}|{mode}"
+        "|opt=lbfgs"
     )
-    if optimizer != "nm":
-        token += f"|opt={optimizer}"
-    return _sha(token)
 
 
 def proxy_params_key(
@@ -229,8 +214,6 @@ def proxy_params_key(
     grid_resolution: int,
     maxiter: int,
     ratio: float,
-    optimizer: str,
-    engine: str,
 ) -> str:
     """Cache key of one *proxy* training run's ``(gammas, betas)`` outcome.
 
@@ -240,15 +223,15 @@ def proxy_params_key(
     serves every sibling, sweep repeat, and mirror pair equivalent to it
     under relabeling/flip. The remaining arguments pin everything else the
     proxy training is a deterministic function of: the reduction ratio
-    (which selects the proxy instance given the identity-derived seed),
-    the optimizer knobs, the refinement engine, and the evaluation engine
-    (the vectorized and scalar paths settle on different last floats).
-    Noise plays no part: proxies always train on the ideal objective.
+    (which selects the proxy instance given the identity-derived seed) and
+    the optimizer knobs. Noise plays no part: proxies always train on the
+    ideal objective. The ``opt=lbfgs|engine=vec`` tokens name the
+    refiner and evaluation engine; they keep the spelling earlier releases
+    wrote, so warm disk caches stay valid.
     """
     return _sha(
         f"proxy-params|{identity}|p={num_layers}|grid={grid_resolution}|"
-        f"maxiter={maxiter}|ratio={_ftok(ratio)}|opt={optimizer}|"
-        f"engine={engine}"
+        f"maxiter={maxiter}|ratio={_ftok(ratio)}|opt=lbfgs|engine=vec"
     )
 
 

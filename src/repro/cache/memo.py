@@ -7,14 +7,15 @@ exactly what the underlying call would have recomputed:
 
 * :func:`cached_transpile` — transpilation is a pure function of
   ``(circuit, device, options)``; the key hashes all three.
-* :func:`cached_simulated_annealing` — stochastic, so the key includes the
-  integer seed *and the engine* (pure memoization of the exact call);
-  generator seeds carry hidden state and bypass the cache entirely.
-* :func:`cached_anneal_many` — the batch-aware anneal memo: per-sibling
-  keys, so a repeated fan-out answers each hit individually and runs only
-  the misses in one vectorized pass (the batched engine's per-sibling
-  seeding contract guarantees a sibling's result is independent of batch
-  composition, which is what makes the mixed hit/miss answer exact).
+* :func:`cached_anneal_many` — the anneal memo. Annealing is stochastic,
+  so each sibling's key includes its integer seed (pure memoization of the
+  exact call); generator seeds carry hidden state and bypass the cache
+  entirely. Keys are per sibling, so a repeated fan-out answers each hit
+  individually and runs only the misses in one vectorized pass (the
+  batched engine's per-sibling seeding contract guarantees a sibling's
+  result is independent of batch composition, which is what makes the
+  mixed hit/miss answer exact). :func:`cached_simulated_annealing` is its
+  single-instance form.
 * :func:`cached_brute_force` — deterministic and seedless; keyed on the
   exact instance fingerprint.
 
@@ -45,7 +46,7 @@ from repro.cache.keys import (
     transpile_key,
 )
 from repro.cache.store import SolveCache
-from repro.ising.annealer import AnnealResult, simulated_annealing
+from repro.ising.annealer import AnnealResult
 from repro.ising.annealer_batched import anneal_many
 from repro.ising.bruteforce import BruteForceResult, brute_force_minimum
 from repro.ising.hamiltonian import IsingHamiltonian
@@ -189,47 +190,24 @@ def cached_simulated_annealing(
     final_temperature: float = 0.01,
     seed: "int | np.random.Generator | None" = None,
     cache: "SolveCache | None" = None,
-    vectorized: bool = True,
 ) -> AnnealResult:
     """Memoized :func:`repro.ising.annealer.simulated_annealing`.
 
-    Only integer seeds are cacheable: the key must pin the whole RNG
-    stream, and a live generator's position cannot be captured (nor would
-    replaying it leave the caller's stream in the right state). Unseeded
-    and generator-seeded calls always run live.
-
-    The engine choice is part of the key (see
-    :func:`repro.cache.keys.anneal_key`): vectorized and legacy results
-    for the same seed are different values and never answer for each
-    other.
+    A batch of one through :func:`cached_anneal_many`, so one function keys
+    every anneal. Only integer seeds are cacheable: the key must pin the
+    whole RNG stream, and a live generator's position cannot be captured
+    (nor would replaying it leave the caller's stream in the right state).
+    Unseeded and generator-seeded calls always run live.
     """
-    cacheable = cache is not None and isinstance(seed, (int, np.integer))
-    key = None
-    if cacheable:
-        key = anneal_key(
-            hamiltonian,
-            num_sweeps,
-            num_restarts,
-            initial_temperature,
-            final_temperature,
-            int(seed),
-            engine="vectorized" if vectorized else "scalar",
-        )
-        hit = cache.get("anneal", key, rebuild=_anneal_rebuild)
-        if hit is not None:
-            return hit
-    result = simulated_annealing(
-        hamiltonian,
+    return cached_anneal_many(
+        [hamiltonian],
         num_sweeps=num_sweeps,
         num_restarts=num_restarts,
         initial_temperature=initial_temperature,
         final_temperature=final_temperature,
-        seed=seed,
-        vectorized=vectorized,
-    )
-    if cacheable:
-        cache.put("anneal", key, result, payload=_anneal_payload(result))
-    return result
+        seeds=[seed],
+        cache=cache,
+    )[0]
 
 
 def cached_anneal_many(
@@ -243,9 +221,9 @@ def cached_anneal_many(
 ) -> list[AnnealResult]:
     """Batch-aware memoized :func:`repro.ising.annealer_batched.anneal_many`.
 
-    Each integer-seeded sibling is keyed individually (same key as the
-    matching :func:`cached_simulated_annealing` call on the vectorized
-    engine), so a repeated fan-out answers its hits one by one and anneals
+    Each integer-seeded sibling is keyed individually (see
+    :func:`repro.cache.keys.anneal_key`), so a repeated fan-out answers its
+    hits one by one and anneals
     only the misses — still in a single vectorized pass. This is exact
     because the batched engine's seeding contract makes every sibling's
     result independent of batch composition: the misses annealed together
@@ -301,7 +279,6 @@ def cached_anneal_many(
                 initial_temperature,
                 final_temperature,
                 int(sibling_seed),
-                engine="vectorized",
             )
             keys[index] = key
             hit = cache.get("anneal", key, rebuild=_anneal_rebuild)

@@ -49,7 +49,6 @@ from repro.cache.memo import (
     params_payload,
     params_rebuild,
 )
-from repro.circuit.circuit import QuantumCircuit
 from repro.core.hotspots import select_hotspots
 from repro.core.partition import (
     SubProblem,
@@ -77,7 +76,7 @@ from repro.qaoa.optimizer import OptimizationResult, optimize_qaoa
 from repro.sim.depolarizing import flip_probabilities_from_factors, noisy_counts
 from repro.sim.qaoa_kernel import qaoa_probabilities
 from repro.sim.sampling import Counts, sample_counts
-from repro.sim.statevector import MAX_SIM_QUBITS, probabilities
+from repro.sim.statevector import MAX_SIM_QUBITS
 from repro.transpile.compiler import (
     TranspileOptions,
     TranspiledCircuit,
@@ -104,39 +103,13 @@ class SolverConfig:
         num_layers: QAOA depth p.
         shots: Measurement shots per executed circuit.
         grid_resolution: Grid points per axis for p=1 parameter seeding.
-        maxiter: Nelder-Mead budget per optimizer start.
+        maxiter: L-BFGS-B iteration cap per optimizer start.
         max_sampled_qubits: Above this size, skip statevector sampling and
             fall back to simulated annealing for the solution bitstring
             (expectations stay analytic at p=1).
         transpile_options: Compiler knobs for the (template) circuit.
         train_noisy: Train on the noisy objective instead of the ideal one
             (the paper trains on simulation => default False).
-
-    Engine flags — the three hot-path engines, each defaulting to the fast
-    vectorized implementation with the legacy path pinned behind ``False``
-    as the bit-exact reference and benchmark baseline:
-
-        vectorized_evaluation: Evaluate expectations through the batched
-            analytic / fused diagonal kernels (default). ``False`` pins
-            the legacy scalar evaluation path (per-point Python loops).
-        vectorized_annealer: Run every classical annealing stage (planner
-            probes, budget fallbacks, the sampling-cap fallback) through
-            the batched multi-replica engine (default). ``False`` pins the
-            legacy per-spin scalar loop — bit-identical to historical
-            seeded results. The engines draw randomness differently, so
-            flipping this flag changes (equally valid) annealed outcomes.
-        analytic_gradients: Refine parameters with L-BFGS-B fed by the
-            analytic-gradient engine — closed-form p=1 derivatives, and
-            adjoint backprop through the fused kernel at p >= 2: one
-            forward + one reverse statevector pass yields the objective
-            and all 2p exact derivatives (default; typically tens instead
-            of hundreds of evaluations at p >= 2). ``False`` pins the
-            legacy derivative-free Nelder-Mead refinement. Requires
-            ``vectorized_evaluation`` (the gradient kernels are part of
-            the vectorized engine); with the scalar evaluation path
-            pinned, training always uses Nelder-Mead. The two refiners
-            settle on (equally valid) last-float-different optima, so
-            flipping this flag changes trained parameters.
         proxy_training: Train each sub-problem on a Red-QAOA-style
             sparsified *proxy* instance (MST-guarded edge sampling +
             low-impact node contraction, see :mod:`repro.reduction`) and
@@ -178,19 +151,11 @@ class SolverConfig:
     max_sampled_qubits: int = 20
     transpile_options: "TranspileOptions | None" = None
     train_noisy: bool = False
-    vectorized_evaluation: bool = True
-    vectorized_annealer: bool = True
-    analytic_gradients: bool = True
     proxy_training: bool = False
     proxy_ratio: float = 0.7
     proxy_refine_maxiter: int = 30
     recursive: bool = False
     fault_injection: "object | None" = None
-
-    @property
-    def gradient_training(self) -> bool:
-        """Whether training actually runs the gradient/L-BFGS engine."""
-        return self.analytic_gradients and self.vectorized_evaluation
 
 
 @dataclass
@@ -235,11 +200,6 @@ class TrainedInstance:
         optimization: Trained parameters and bookkeeping.
         ev_ideal: Ideal expectation at the trained parameters.
         ev_noisy: Noisy expectation at the trained parameters.
-        sampling_circuit: The bound circuit to simulate for sampling.
-            Bound only on the legacy scalar path
-            (``vectorized_evaluation=False``); the vectorized path derives
-            the distribution from the fused QAOA kernel instead and never
-            builds (or pickles) a bound circuit.
         needs_sampling: Whether the instance samples at all (``False``
             above the sampling cap — the annealing fallback needs no
             simulation).
@@ -252,28 +212,7 @@ class TrainedInstance:
     optimization: OptimizationResult
     ev_ideal: float
     ev_noisy: float
-    sampling_circuit: "QuantumCircuit | None"
     needs_sampling: bool = False
-
-
-def _scalar_objective(
-    context: EvaluationContext, cfg: SolverConfig, noisy: bool
-):
-    """The per-point objective of one training run (engine-selected)."""
-    objective = evaluate_noisy if noisy else evaluate_ideal
-    if context.vectorized and cfg.num_layers == 1:
-        # Nelder-Mead's sequential proposals are the one stage a batch
-        # kernel cannot absorb; bind the precomputed term structure
-        # and combination weights directly so each proposal costs a
-        # handful of ufunc calls.
-        structure = context.analytic_structure()
-        weights = context.analytic_weights(noisy)
-        return lambda gammas, betas: (
-            structure.expectation_point(
-                float(gammas[0]), float(betas[0]), weights
-            )
-        )
-    return lambda gammas, betas: objective(context, gammas, betas)
 
 
 def _optimize_on(
@@ -285,27 +224,21 @@ def _optimize_on(
     noisy: bool,
     hybrid_seeding: bool = False,
 ) -> OptimizationResult:
-    """One :func:`optimize_qaoa` call wired to a context's engine stack."""
+    """One :func:`optimize_qaoa` call wired to a context's engine.
+
+    Grid seeds and warm-start acceptance tests evaluate whole point batches
+    in one kernel call; refinement runs L-BFGS-B on exact derivatives —
+    closed form at p=1, adjoint backprop at p>=2.
+    """
     return optimize_qaoa(
-        _scalar_objective(context, cfg, noisy),
+        batch_objective(context, noisy=noisy),
+        value_and_grad_objective(context, noisy=noisy),
         num_layers=cfg.num_layers,
         grid_resolution=cfg.grid_resolution,
         maxiter=maxiter,
         seed=seed,
         initial_point=initial_params,
         hybrid_seeding=hybrid_seeding,
-        # Grid seeds and warm-start acceptance tests evaluate whole
-        # point batches in one kernel call (None = scalar context).
-        evaluate_batch=batch_objective(context, noisy=noisy),
-        # With analytic gradients on (and the vectorized engine
-        # active), refinement runs L-BFGS-B on exact derivatives —
-        # closed form at p=1, adjoint backprop at p>=2 (None = the
-        # pinned legacy Nelder-Mead refiner).
-        value_and_grad=(
-            value_and_grad_objective(context, noisy=noisy)
-            if cfg.analytic_gradients
-            else None
-        ),
     )
 
 
@@ -340,9 +273,7 @@ def _train_with_proxy(
     warm_start_rejected = False
     if transfer is None:
         proxy_context = make_context(
-            proxy.hamiltonian,
-            num_layers=cfg.num_layers,
-            vectorized=cfg.vectorized_evaluation,
+            proxy.hamiltonian, num_layers=cfg.num_layers
         )
         proxy_opt = _optimize_on(
             proxy_context,
@@ -426,7 +357,6 @@ def train_qaoa_instance(
             num_layers=cfg.num_layers,
             device=device,
             transpile_options=cfg.transpile_options,
-            vectorized=cfg.vectorized_evaluation,
         )
     objective = evaluate_noisy if cfg.train_noisy else evaluate_ideal
     if params is not None:
@@ -450,16 +380,9 @@ def train_qaoa_instance(
     gammas, betas = optimization.gammas, optimization.betas
     ev_ideal = float(evaluate_ideal(context, gammas, betas))
     ev_noisy = float(evaluate_noisy(context, gammas, betas))
-    sampling_circuit = None
     needs_sampling = hamiltonian.num_qubits <= min(
         cfg.max_sampled_qubits, MAX_SIM_QUBITS
     )
-    if needs_sampling and not context.vectorized:
-        # Legacy scalar path: sampling simulates the bound circuit. The
-        # vectorized path needs no circuit — the fused kernel derives the
-        # same distribution from (hamiltonian, params) at finish time.
-        template = context.ensure_template()
-        sampling_circuit = template.bind(gammas, betas)
     return TrainedInstance(
         hamiltonian=hamiltonian,
         config=cfg,
@@ -468,42 +391,31 @@ def train_qaoa_instance(
         optimization=optimization,
         ev_ideal=ev_ideal,
         ev_noisy=ev_noisy,
-        sampling_circuit=sampling_circuit,
         needs_sampling=needs_sampling,
     )
 
 
 def sampling_cap_fallback_anneal(
-    hamiltonian: IsingHamiltonian,
-    config: SolverConfig,
-    rng: np.random.Generator,
+    hamiltonian: IsingHamiltonian, rng: np.random.Generator
 ) -> AnnealResult:
     """The over-the-cap instance's annealing fallback (one call site).
 
     Unified through :func:`~repro.cache.memo.cached_simulated_annealing`
     against the *session default* cache, matching every other annealing
-    call site: repeated sweeps answer this fallback from cache too. On the
-    vectorized engine the fallback seed is one integer drawn from the
-    instance's stream — an int pins the whole RNG trajectory, which is
-    what makes the call cacheable. The legacy engine keeps the historical
-    generator-seeded call (bit-identical to pre-cache results, inherently
-    uncacheable).
+    call site: repeated sweeps answer this fallback from cache too. The
+    fallback seed is one integer drawn from the instance's stream — an int
+    pins the whole RNG trajectory, which is what makes the call cacheable.
 
     Backends that batch this fallback across instances
     (:class:`~repro.backend.batched.BatchedStatevectorBackend`) must
     reproduce the exact same draw: one ``rng.integers(0, 2**31 - 1)`` per
-    vectorized instance, at finish time.
+    instance, at finish time.
     """
     from repro.cache import get_default_cache
 
-    cache = get_default_cache()
-    if config.vectorized_annealer:
-        fallback_seed = int(rng.integers(0, 2**31 - 1))
-        return cached_simulated_annealing(
-            hamiltonian, seed=fallback_seed, cache=cache, vectorized=True
-        )
+    fallback_seed = int(rng.integers(0, 2**31 - 1))
     return cached_simulated_annealing(
-        hamiltonian, seed=rng, cache=cache, vectorized=False
+        hamiltonian, seed=fallback_seed, cache=get_default_cache()
     )
 
 
@@ -518,10 +430,8 @@ def finish_qaoa_instance(
         trained: Output of :func:`train_qaoa_instance`.
         ideal_probs: Pre-computed outcome distribution of the instance's
             sampling circuit (e.g. one row of a batched pass); derived
-            here when omitted — via the fused diagonal QAOA kernel (one
-            phase multiply per cost layer against the memoized spectrum)
-            on the vectorized path, or by simulating the bound
-            ``sampling_circuit`` on the legacy scalar path.
+            here when omitted, via the fused diagonal QAOA kernel (one
+            phase multiply per cost layer against the memoized spectrum).
         fallback_anneal: Pre-computed sampling-cap fallback result (e.g.
             one sibling of a backend's batched
             :func:`~repro.cache.memo.cached_anneal_many` pass). The caller
@@ -535,18 +445,15 @@ def finish_qaoa_instance(
     rng = trained.rng
     n = hamiltonian.num_qubits
     counts: "Counts | None" = None
-    if trained.needs_sampling or trained.sampling_circuit is not None:
+    if trained.needs_sampling:
         if ideal_probs is None:
-            if trained.sampling_circuit is not None:
-                ideal_probs = probabilities(trained.sampling_circuit)
-            else:
-                opt = trained.optimization
-                ideal_probs = qaoa_probabilities(
-                    hamiltonian,
-                    opt.gammas,
-                    opt.betas,
-                    spectrum=memoized_spectrum(hamiltonian),
-                )
+            opt = trained.optimization
+            ideal_probs = qaoa_probabilities(
+                hamiltonian,
+                opt.gammas,
+                opt.betas,
+                spectrum=memoized_spectrum(hamiltonian),
+            )
         if context.noise_model is not None:
             flips = (
                 flip_probabilities_from_factors(context.readout, n)
@@ -576,7 +483,7 @@ def finish_qaoa_instance(
     else:
         anneal = fallback_anneal
         if anneal is None:
-            anneal = sampling_cap_fallback_anneal(hamiltonian, cfg, rng)
+            anneal = sampling_cap_fallback_anneal(hamiltonian, rng)
         best_spins, best_value = anneal.spins, anneal.value
     return QAOARunResult(
         context=context,
@@ -695,9 +602,8 @@ class FrozenQubitsResult:
             training across all executed sub-problems.
         num_gradient_evaluations: Total gradient passes spent training
             across all executed sub-problems — counted separately from
-            objective evaluations (always 0 on the legacy Nelder-Mead
-            path), so evaluation-budget accounting stays honest across
-            the optimizer engines.
+            objective evaluations, so evaluation-budget accounting stays
+            honest.
         num_warm_started: Executed cells whose optimizer accepted a
             transferred sibling optimum.
         num_warm_start_rejected: Executed cells where the transfer was
@@ -1087,7 +993,6 @@ class FrozenQubitsSolver:
                 all_executed,
                 seed=probe_seed,
                 cache=self._cache,
-                vectorized=cfg.vectorized_annealer,
             )
             keep = {rank.index for rank in ranks[:max_executed]}
             rank_by_index = {rank.index: rank for rank in ranks}
@@ -1330,7 +1235,6 @@ class FrozenQubitsSolver:
             train_noisy=cfg.train_noisy,
             noise_signature=noise_signature,
             mode=mode,
-            optimizer="lbfgs" if cfg.gradient_training else "nm",
         )
 
     def _resolve_plan(
@@ -1454,24 +1358,12 @@ class FrozenQubitsSolver:
                 )
         # Budget-pruned cells: one batched fallback pass covers all of
         # them (siblings share a coupling graph, so the engine sweeps the
-        # whole set as a single cells x replicas array program); the
-        # legacy engine keeps the historical per-cell scalar loop.
-        if self._config.vectorized_annealer:
-            fallback_anneals = cached_anneal_many(
-                [entry.subproblem.hamiltonian for entry in prepared.skipped],
-                seeds=[entry.seed for entry in prepared.skipped],
-                cache=self._cache,
-            )
-        else:
-            fallback_anneals = [
-                cached_simulated_annealing(
-                    entry.subproblem.hamiltonian,
-                    seed=entry.seed,
-                    cache=self._cache,
-                    vectorized=False,
-                )
-                for entry in prepared.skipped
-            ]
+        # whole set as a single cells x replicas array program).
+        fallback_anneals = cached_anneal_many(
+            [entry.subproblem.hamiltonian for entry in prepared.skipped],
+            seeds=[entry.seed for entry in prepared.skipped],
+            cache=self._cache,
+        )
         for entry, anneal in zip(prepared.skipped, fallback_anneals):
             sp = entry.subproblem
             sub_spins, value = anneal.spins, anneal.value
@@ -1494,22 +1386,11 @@ class FrozenQubitsSolver:
         # solve still reports a valid (if weaker) assignment for every
         # partition cell and stays deterministic for a fixed fault plan.
         if failed:
-            if self._config.vectorized_annealer:
-                failed_anneals = cached_anneal_many(
-                    [sp.hamiltonian for sp, _, _ in failed],
-                    seeds=[job.seed for _, job, _ in failed],
-                    cache=self._cache,
-                )
-            else:
-                failed_anneals = [
-                    cached_simulated_annealing(
-                        sp.hamiltonian,
-                        seed=job.seed,
-                        cache=self._cache,
-                        vectorized=False,
-                    )
-                    for sp, job, _ in failed
-                ]
+            failed_anneals = cached_anneal_many(
+                [sp.hamiltonian for sp, _, _ in failed],
+                seeds=[job.seed for _, job, _ in failed],
+                cache=self._cache,
+            )
             for (sp, job, job_result), anneal in zip(failed, failed_anneals):
                 full_spins = decode_spins(sp.spec, sp.assignment, anneal.spins)
                 outcomes[sp.index] = SubProblemOutcome(

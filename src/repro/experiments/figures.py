@@ -35,7 +35,7 @@ from repro.graphs.generators import airport_network, barabasi_albert_graph, sk_g
 from repro.graphs.powerlaw import degree_stats, fit_powerlaw_exponent, hotspot_ratio
 from repro.ising.hamiltonian import IsingHamiltonian
 from repro.qaoa.circuits import build_qaoa_template
-from repro.qaoa.executor import batch_objective, evaluate_noisy, make_context
+from repro.qaoa.executor import batch_objective, make_context
 from repro.qaoa.objective import approximation_ratio_gap
 from repro.qaoa.optimizer import landscape_scan
 from repro.transpile.compiler import TranspileOptions, edit_template, transpile
@@ -402,9 +402,7 @@ def figure_12_landscape(
         context = make_context(target, num_layers=1, device=device)
         # One batched kernel call evaluates the whole resolution**2 grid.
         scan = landscape_scan(
-            lambda gammas, betas: evaluate_noisy(context, gammas, betas),
-            resolution=resolution,
-            evaluate_batch=batch_objective(context, noisy=True),
+            batch_objective(context, noisy=True), resolution=resolution
         )
         best_gamma, best_beta, best_value = scan.best
         # Landscape contrast in AR units: noise scales the whole landscape

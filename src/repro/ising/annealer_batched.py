@@ -20,7 +20,7 @@ This module runs those families in one pass:
   is a handful of array operations over ``sites x siblings x replicas``;
 * local fields are maintained **incrementally** (scatter-add of the flipped
   spins' coupling contributions), so a sweep costs O(N + |J|) work per
-  replica just like the scalar loop — but as a few vectorized passes
+  replica just like a per-spin loop — but as a few vectorized passes
   instead of N Python iterations.
 
 Seeding contract (what makes batched results cacheable per sibling):
@@ -52,8 +52,7 @@ from repro.ising.hamiltonian import IsingHamiltonian
 from repro.utils.memo import BoundedMemo
 from repro.utils.rng import ensure_rng
 
-#: Strict-improvement margin for best-so-far tracking (matches the legacy
-#: scalar loop's tolerance).
+#: Strict-improvement margin for best-so-far tracking.
 _IMPROVEMENT_MARGIN = 1e-12
 
 
@@ -387,7 +386,7 @@ def _anneal_group(
             delta = -2.0 * z * fields[sites]
             # Metropolis acceptance in one expression: for delta <= 0 the
             # clamped exponent is 0, exp is 1, and uniforms < 1 always —
-            # matching the scalar loop's unconditional downhill accept.
+            # the unconditional downhill accept of the Metropolis rule.
             accept = uniforms[sites] < np.exp(
                 np.minimum(-delta * inv_temperature, 0.0)
             )

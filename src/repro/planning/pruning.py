@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cache.memo import cached_anneal_many, cached_simulated_annealing
+from repro.cache.memo import cached_anneal_many
 from repro.core.partition import SubProblem
 from repro.utils.rng import ensure_rng, spawn_seeds
 
@@ -93,7 +93,6 @@ def rank_assignments(
     cache: "SolveCache | None" = None,
     probe: str = "anneal",
     qaoa_resolution: int = 8,
-    vectorized: bool = True,
 ) -> list[AssignmentRank]:
     """Rank executed cells best-first by their classical probe value.
 
@@ -114,11 +113,6 @@ def rank_assignments(
             cell (see :func:`qaoa1_grid_minima`) — with the annealing
             probe retained as tie-break and classical-fallback floor.
         qaoa_resolution: Grid points per axis for the ``"qaoa1"`` probe.
-        vectorized: Probe the whole fan-out in one batched multi-replica
-            anneal (default) — the sibling cells share one coupling graph,
-            so the batch axis costs almost nothing. ``False`` pins the
-            legacy per-cell scalar loop (bit-identical to historical
-            rankings).
 
     Returns:
         One :class:`AssignmentRank` per input cell, most promising first,
@@ -129,29 +123,16 @@ def rank_assignments(
         raise ValueError(f"unknown probe mode {probe!r}")
     rng = ensure_rng(seed)
     probe_seeds = spawn_seeds(rng, len(subproblems))
-    if vectorized:
-        # All cells in one engine call: siblings share J, so the batched
-        # core precomputes one neighbor structure and sweeps the whole
-        # fan-out as a (cells x replicas) array program.
-        probes = cached_anneal_many(
-            [sp.hamiltonian for sp in subproblems],
-            num_sweeps=probe_sweeps,
-            num_restarts=probe_restarts,
-            seeds=probe_seeds,
-            cache=cache,
-        )
-    else:
-        probes = [
-            cached_simulated_annealing(
-                sp.hamiltonian,
-                num_sweeps=probe_sweeps,
-                num_restarts=probe_restarts,
-                seed=probe_seed,
-                cache=cache,
-                vectorized=False,
-            )
-            for sp, probe_seed in zip(subproblems, probe_seeds)
-        ]
+    # All cells in one engine call: siblings share J, so the batched core
+    # precomputes one neighbor structure and sweeps the whole fan-out as a
+    # (cells x replicas) array program.
+    probes = cached_anneal_many(
+        [sp.hamiltonian for sp in subproblems],
+        num_sweeps=probe_sweeps,
+        num_restarts=probe_restarts,
+        seeds=probe_seeds,
+        cache=cache,
+    )
     ranks: list[AssignmentRank] = []
     for sp, anneal_probe in zip(subproblems, probes):
         ranks.append(

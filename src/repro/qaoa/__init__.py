@@ -29,7 +29,6 @@ from repro.qaoa.executor import (
 from repro.qaoa.objective import approximation_ratio, approximation_ratio_gap
 from repro.qaoa.optimizer import (
     BatchEvaluateFn,
-    EvaluateFn,
     LandscapeScan,
     OptimizationResult,
     ValueAndGradFn,
@@ -39,7 +38,6 @@ from repro.qaoa.optimizer import (
 
 __all__ = [
     "BatchEvaluateFn",
-    "EvaluateFn",
     "EvaluationContext",
     "LandscapeScan",
     "OptimizationResult",

@@ -598,12 +598,12 @@ class QAOA1Structure:
     ) -> float:
         """One expectation value, on the low-overhead single-point path.
 
-        Nelder-Mead refinement proposes points sequentially, so its calls
-        cannot batch; this path keeps them term-vectorized with a fixed,
-        tiny ufunc budget — one ``cos`` over the packed coefficient array,
-        one ``multiply.reduceat`` for every neighbor product, one ``sin``
-        pack, scalar trig from :mod:`math` — several times cheaper per
-        call than a batch of one.
+        Single-point reads (each trained instance's ideal and noisy
+        expectation) have nothing to batch with; this path keeps them
+        term-vectorized with a fixed, tiny ufunc budget — one ``cos`` over
+        the packed coefficient array, one ``multiply.reduceat`` for every
+        neighbor product, one ``sin`` pack, scalar trig from :mod:`math` —
+        several times cheaper per call than a batch of one.
         """
         if self._num_product_rows == 0:
             return self.offset

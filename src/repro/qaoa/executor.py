@@ -7,16 +7,19 @@ model. The optimizer then treats ``evaluate_noisy(ctx, g, b)`` as its black
 box, exactly like the classical outer loop of the paper trains against
 hardware expectation values.
 
-Engine selection (the training hot path): at p=1 the batched analytic
+One engine serves the training hot path: at p=1 the batched analytic
 closed form evaluates whole ``(gamma, beta)`` point batches over
 precomputed sparse term structures; at p>=2 the fused diagonal statevector
 kernel applies each cost layer as one elementwise phase multiply against
 the memoized energy spectrum (bounded by the simulator's qubit cap). Both
-feed :func:`evaluate_batch`, the vectorized objective the optimizer's grid
-seeds, warm-start acceptance tests and landscape scans consume in one
-kernel call per batch. Set ``vectorized=False`` on the context to fall
-back to the legacy scalar path (the per-point Python loops) — kept as the
-reference implementation and the benchmark baseline.
+feed :func:`evaluate_batch`, the objective the optimizer's grid seeds,
+warm-start acceptance tests and landscape scans consume in one kernel call
+per batch, and :func:`value_and_grad_objective`, its exact-gradient twin
+for L-BFGS-B refinement. The gate-level statevector
+(:func:`repro.sim.statevector.probabilities` of a bound template),
+:func:`repro.qaoa.analytic.qaoa1_term_expectations` and
+:func:`repro.sim.depolarizing.noisy_expectation` are the independent
+references the tests hold this engine to.
 """
 
 from __future__ import annotations
@@ -29,23 +32,17 @@ import numpy as np
 from repro.cache.memo import memoized_spectrum
 from repro.exceptions import QAOAError
 from repro.ising.hamiltonian import IsingHamiltonian
-from repro.qaoa.analytic import QAOA1Structure, qaoa1_term_expectations
-from repro.qaoa.circuits import QAOATemplate, build_qaoa_template
+from repro.qaoa.analytic import QAOA1Structure
+from repro.qaoa.circuits import build_qaoa_template
 from repro.sim.depolarizing import (
     circuit_fidelity,
     decoherence_factors,
-    noisy_expectation,
     readout_factors,
 )
-from repro.sim.expectation import (
-    combine_term_expectations,
-    expectation_from_probabilities,
-    term_expectations_from_probabilities,
-    term_sign_matrix,
-)
+from repro.sim.expectation import term_sign_matrix
 from repro.sim.noise import NoiseModel, noise_model_for_transpiled
 from repro.sim.qaoa_kernel import qaoa_probabilities_batch, qaoa_value_and_grad
-from repro.sim.statevector import MAX_SIM_QUBITS, probabilities
+from repro.sim.statevector import MAX_SIM_QUBITS
 from repro.transpile.compiler import TranspileOptions, TranspiledCircuit, transpile
 
 
@@ -56,23 +53,18 @@ class EvaluationContext:
     Attributes:
         hamiltonian: Problem Hamiltonian.
         num_layers: QAOA depth p.
-        template: Parametric logical circuit (built lazily when simulating).
         fidelity: Global-depolarizing circuit fidelity F (1.0 = ideal).
         readout: Per-logical-qubit readout attenuation factors.
         transpiled: The compiled template, when a device was supplied.
-        vectorized: Evaluate through the batched analytic / fused diagonal
-            kernels (default). ``False`` pins the legacy scalar path.
     """
 
     hamiltonian: IsingHamiltonian
     num_layers: int
-    template: "QAOATemplate | None" = None
     fidelity: float = 1.0
     readout: "dict[int, float] | None" = None
     transpiled: "TranspiledCircuit | None" = None
     noise_model: "NoiseModel | None" = None
     measured_wires: "list[int] | None" = None
-    vectorized: bool = True
     _analytic: "QAOA1Structure | None" = field(
         default=None, repr=False, compare=False
     )
@@ -81,14 +73,6 @@ class EvaluationContext:
     )
     _signs: "tuple | None" = field(default=None, repr=False, compare=False)
     _weights: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def ensure_template(self) -> QAOATemplate:
-        """Build (and cache) the logical template for simulation paths."""
-        if self.template is None:
-            self.template = build_qaoa_template(
-                self.hamiltonian, num_layers=self.num_layers
-            )
-        return self.template
 
     def analytic_structure(self) -> QAOA1Structure:
         """The precomputed p=1 term structure (built once, then reused)."""
@@ -225,7 +209,6 @@ def make_context(
     transpile_options: "TranspileOptions | None" = None,
     transpiled: "TranspiledCircuit | None" = None,
     noise_profile: "NoiseProfile | None" = None,
-    vectorized: bool = True,
 ) -> EvaluationContext:
     """Build an evaluation context, compiling for a device if one is given.
 
@@ -240,15 +223,10 @@ def make_context(
         noise_profile: Pre-computed noise constants of ``transpiled`` (or
             of the master template it was edited from — the profile is
             angle-independent); computed here when omitted.
-        vectorized: Evaluate through the batched kernels (default); pass
-            ``False`` for the legacy scalar reference path.
     """
-    context = EvaluationContext(
-        hamiltonian=hamiltonian, num_layers=num_layers, vectorized=vectorized
-    )
+    context = EvaluationContext(hamiltonian=hamiltonian, num_layers=num_layers)
     if transpiled is None and device is not None:
         template = build_qaoa_template(hamiltonian, num_layers=num_layers)
-        context.template = template
         transpiled = transpile(template.circuit, device, transpile_options)
     if transpiled is not None:
         profile = noise_profile or noise_profile_for_transpiled(transpiled)
@@ -275,24 +253,6 @@ def _check_sim_cap(context: EvaluationContext) -> None:
             f"{context.hamiltonian.num_qubits} qubits exceeds the "
             f"{MAX_SIM_QUBITS}-qubit statevector cap"
         )
-
-
-def _ideal_terms(
-    context: EvaluationContext,
-    gammas: Sequence[float],
-    betas: Sequence[float],
-) -> tuple[dict[int, float], dict[tuple[int, int], float]]:
-    """Legacy scalar per-term expectations (the reference path)."""
-    hamiltonian = context.hamiltonian
-    _check_layers(context, gammas, betas)
-    if context.num_layers == 1:
-        return qaoa1_term_expectations(hamiltonian, gammas[0], betas[0])
-    _check_sim_cap(context)
-    template = context.ensure_template()
-    bound = template.bind(gammas, betas)
-    probs = probabilities(bound)
-    z_all, zz_all = term_expectations_from_probabilities(hamiltonian, probs)
-    return z_all, zz_all
 
 
 def evaluate_batch(
@@ -355,11 +315,7 @@ def batch_objective(context: EvaluationContext, noisy: bool = False):
 
     Convenience for threading :func:`evaluate_batch` into
     :func:`repro.qaoa.optimizer.optimize_qaoa` and ``landscape_scan``.
-    Returns ``None`` when the context pins the legacy scalar path, so
-    callers can pass the result straight through.
     """
-    if not context.vectorized:
-        return None
 
     def evaluate(gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
         return evaluate_batch(context, gammas, betas, noisy=noisy)
@@ -378,13 +334,7 @@ def value_and_grad_objective(context: EvaluationContext, noisy: bool = False):
     (:func:`repro.sim.qaoa_kernel.qaoa_value_and_grad`). Noise folds into
     combination weights / the diagonal observable exactly as the value
     path folds it, so the noisy gradient costs the same pass.
-
-    Returns ``None`` when the context pins the legacy scalar path, so
-    callers can pass the result straight through to
-    :func:`repro.qaoa.optimizer.optimize_qaoa`'s ``value_and_grad``.
     """
-    if not context.vectorized:
-        return None
     if context.num_layers == 1:
         structure = context.analytic_structure()
         weights = context.analytic_weights(noisy)
@@ -413,34 +363,34 @@ def value_and_grad_objective(context: EvaluationContext, noisy: bool = False):
     return evaluate_adjoint
 
 
+def _evaluate_point(
+    context: EvaluationContext,
+    gammas: Sequence[float],
+    betas: Sequence[float],
+    noisy: bool,
+) -> float:
+    """One expectation through the engine (a batch of one at p >= 2)."""
+    _check_layers(context, gammas, betas)
+    if context.num_layers == 1:
+        return context.analytic_structure().expectation_point(
+            float(gammas[0]), float(betas[0]), context.analytic_weights(noisy)
+        )
+    value = evaluate_batch(
+        context,
+        np.asarray(gammas, dtype=float)[None, :],
+        np.asarray(betas, dtype=float)[None, :],
+        noisy=noisy,
+    )
+    return float(value[0])
+
+
 def evaluate_ideal(
     context: EvaluationContext,
     gammas: Sequence[float],
     betas: Sequence[float],
 ) -> float:
     """Noiseless expectation value at the given parameters."""
-    if context.vectorized:
-        _check_layers(context, gammas, betas)
-        if context.num_layers == 1:
-            return context.analytic_structure().expectation_point(
-                float(gammas[0]), float(betas[0]),
-                context.analytic_weights(False),
-            )
-        value = evaluate_batch(
-            context,
-            np.asarray(gammas, dtype=float)[None, :],
-            np.asarray(betas, dtype=float)[None, :],
-        )
-        return float(value[0])
-    if context.num_layers == 1:
-        z_values, zz_values = _ideal_terms(context, gammas, betas)
-        return combine_term_expectations(
-            context.hamiltonian, z_values, zz_values
-        )
-    _check_layers(context, gammas, betas)
-    template = context.ensure_template()
-    bound = template.bind(gammas, betas)
-    return expectation_from_probabilities(context.hamiltonian, probabilities(bound))
+    return _evaluate_point(context, gammas, betas, noisy=False)
 
 
 def evaluate_noisy(
@@ -453,25 +403,4 @@ def evaluate_noisy(
     With ``fidelity == 1`` and no readout factors this equals
     :func:`evaluate_ideal`.
     """
-    if context.vectorized:
-        _check_layers(context, gammas, betas)
-        if context.num_layers == 1:
-            return context.analytic_structure().expectation_point(
-                float(gammas[0]), float(betas[0]),
-                context.analytic_weights(True),
-            )
-        value = evaluate_batch(
-            context,
-            np.asarray(gammas, dtype=float)[None, :],
-            np.asarray(betas, dtype=float)[None, :],
-            noisy=True,
-        )
-        return float(value[0])
-    z_values, zz_values = _ideal_terms(context, gammas, betas)
-    return noisy_expectation(
-        context.hamiltonian,
-        z_values,
-        zz_values,
-        fidelity=context.fidelity,
-        readout=context.readout,
-    )
+    return _evaluate_point(context, gammas, betas, noisy=True)

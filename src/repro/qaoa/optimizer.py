@@ -2,20 +2,17 @@
 
 The paper's outer loop (Fig. 1(a)): propose parameters, read the circuit's
 expectation value, update. Strategy here: a coarse (gamma, beta) grid seed
-(p=1) or random multistart (p>1), refined with a local optimizer. The
-refiner is L-BFGS-B when the caller supplies a ``value_and_grad`` twin of
-the objective (one pass returning the expectation *and* its exact gradient
-w.r.t. all 2p parameters — the adjoint/closed-form analytic-gradient
-engine), and derivative-free Nelder-Mead otherwise — the pinned legacy
-reference, matching the COBYLA/SPSA choices common in QAOA practice.
+(p=1) or random multistart (p>1), refined with L-BFGS-B.
 
-Both entry points accept an optional *batched* objective
+The objective comes in two forms (see
+:func:`repro.qaoa.executor.batch_objective` and
+:func:`repro.qaoa.executor.value_and_grad_objective`): a *batched* one
 (``evaluate_batch``: matrices of shape ``(P, p)`` in, values ``(P,)``
-out — see :func:`repro.qaoa.executor.evaluate_batch`): the grid seeding
-scan, the warm-start acceptance test, and the full landscape scan then go
-through one vectorized kernel call instead of one scalar objective call
-per point. Only the Nelder-Mead refinement stays scalar (its proposals are
-inherently sequential).
+out), through which the grid seeding scan, the warm-start acceptance test
+and the full landscape scan each run as one vectorized kernel call; and a
+*gradient* one (``value_and_grad``: one pass returning the expectation
+*and* its exact gradient w.r.t. all 2p parameters), which feeds the
+L-BFGS-B refinement.
 
 ``landscape_scan`` reproduces the paper's Fig. 12 protocol: evaluate the
 approximation ratio over a full 2-D parameter grid instead of a single
@@ -39,7 +36,6 @@ from repro.utils.rng import ensure_rng
 DEFAULT_GAMMA_RANGE = (-np.pi / 2.0, np.pi / 2.0)
 DEFAULT_BETA_RANGE = (-np.pi / 4.0, np.pi / 4.0)
 
-EvaluateFn = Callable[[Sequence[float], Sequence[float]], float]
 #: Batched objective: ``(gammas (P, p), betas (P, p)) -> values (P,)``.
 BatchEvaluateFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 #: Gradient objective: ``(gammas (p,), betas (p,)) -> (value, grad (2p,))``
@@ -57,14 +53,13 @@ class OptimizationResult:
         gammas: Best phase parameters found.
         betas: Best mixing parameters found.
         value: Objective (expectation value) at the optimum; minimised.
-        num_evaluations: Objective calls consumed. On the gradient path
-            every ``value_and_grad`` pass counts here too (it produces a
-            value), so evaluation budgets stay comparable across the
-            Nelder-Mead and L-BFGS engines.
+        num_evaluations: Objective points consumed: every point of a
+            batched scan, plus every ``value_and_grad`` pass (it produces a
+            value too).
         num_gradient_evaluations: Gradient passes consumed — one per
             ``value_and_grad`` call, counted *separately* from objective
-            evaluations so warm-start and bench accounting stay honest
-            across engines. Always 0 on the derivative-free path.
+            evaluations so warm-start accounting stays honest. Zero when
+            training was skipped (pre-trained parameters).
         history: Objective value after each improvement, for convergence
             plots.
         warm_started: True when a transferred initial point replaced the
@@ -111,7 +106,8 @@ class OptimizationResult:
 
 
 def optimize_qaoa(
-    evaluate: EvaluateFn,
+    evaluate_batch: BatchEvaluateFn,
+    value_and_grad: ValueAndGradFn,
     num_layers: int = 1,
     grid_resolution: int = 12,
     num_starts: int = 4,
@@ -120,33 +116,35 @@ def optimize_qaoa(
     beta_range: tuple[float, float] = DEFAULT_BETA_RANGE,
     seed: "int | np.random.Generator | None" = None,
     initial_point: "tuple[Sequence[float], Sequence[float]] | None" = None,
-    evaluate_batch: "BatchEvaluateFn | None" = None,
-    value_and_grad: "ValueAndGradFn | None" = None,
     hybrid_seeding: bool = False,
 ) -> OptimizationResult:
     """Minimise a QAOA expectation over its 2p parameters.
 
     Args:
-        evaluate: Black box ``(gammas, betas) -> expectation value``.
+        evaluate_batch: Batched objective ``(gammas (P, p), betas (P, p))
+            -> values (P,)``. The seeding scan and the warm-start
+            acceptance test each run as one call over a whole point batch;
+            ``num_evaluations`` still counts every point.
+        value_and_grad: Gradient twin of ``evaluate_batch`` (must agree
+            with it to numerical precision): one pass returning
+            ``(value, grad)`` with ``grad`` the exact derivative w.r.t. the
+            concatenated ``[gammas, betas]`` point (shape ``(2p,)``). It
+            feeds the L-BFGS-B refinement; each pass counts as one
+            objective evaluation *and* one gradient evaluation.
         num_layers: QAOA depth p.
         grid_resolution: Grid points per axis for the p=1 seeding scan.
         num_starts: Random multistart count for p > 1.
-        maxiter: Nelder-Mead iteration budget per start.
+        maxiter: L-BFGS-B iteration cap per start.
         gamma_range: Seeding box for gammas.
         beta_range: Seeding box for betas.
         seed: RNG seed or generator (used for p > 1 starts).
         initial_point: Transferred ``(gammas, betas)`` — e.g. a sibling
             sub-problem's trained optimum. When the transferred point
             evaluates better than the untrained (all-zero) baseline, it
-            replaces the seeding scan entirely and Nelder-Mead refines
-            from it — two evaluations instead of ``grid_resolution**2``.
+            replaces the seeding scan entirely and refinement starts from
+            it — two evaluations instead of ``grid_resolution**2``.
             Otherwise the transfer is rejected and the fresh-start path
             runs as if no point had been offered.
-        evaluate_batch: Optional batched twin of ``evaluate`` (must agree
-            with it to numerical precision). When given, the seeding scan
-            and the warm-start acceptance test run as single kernel calls
-            over whole point batches; ``num_evaluations`` still counts
-            every point.
         hybrid_seeding: Only meaningful with ``initial_point``. ``False``
             (the historical behaviour) accepts the transfer against the
             untrained all-zeros baseline and, when accepted, skips the
@@ -156,15 +154,6 @@ def optimize_qaoa(
             the overall best candidate — so a transfer that lands in a
             poor basin can never displace a better fresh start (the
             proxy-training refinement stage relies on this).
-        value_and_grad: Optional gradient twin of ``evaluate``: one pass
-            returning ``(value, grad)`` with ``grad`` the exact derivative
-            w.r.t. the concatenated ``[gammas, betas]`` point (shape
-            ``(2p,)``). When given, the refinement stage switches from
-            derivative-free Nelder-Mead to L-BFGS-B fed by it — typically
-            converging in tens instead of hundreds of evaluations — while
-            the seeding scan and warm-start acceptance stay on
-            ``evaluate``/``evaluate_batch`` unchanged. Each pass counts as
-            one objective evaluation *and* one gradient evaluation.
 
     Returns:
         The best parameters found and bookkeeping.
@@ -178,7 +167,7 @@ def optimize_qaoa(
     best_value = np.inf
     best_point: "np.ndarray | None" = None
 
-    def record(point: np.ndarray, value: float) -> float:
+    def record(point: np.ndarray, value: float) -> None:
         """Count one objective evaluation and track the best point."""
         nonlocal evaluations, best_value, best_point
         evaluations += 1
@@ -186,33 +175,14 @@ def optimize_qaoa(
             best_value = value
             best_point = point.copy()
             history.append(value)
-        return value
-
-    def objective(point: np.ndarray) -> float:
-        # Deterministic objectives let the winning seed point double as
-        # Nelder-Mead's start vertex without paying a second evaluation:
-        # answer repeats of the tracked best point from memory.
-        if best_point is not None and np.array_equal(point, best_point):
-            return best_value
-        value = float(evaluate(point[:num_layers], point[num_layers:]))
-        return record(point, value)
 
     def evaluate_points(points: np.ndarray) -> np.ndarray:
-        """Evaluate a ``(P, 2p)`` stack, batched when the kernel exists."""
-        if evaluate_batch is not None:
-            values = np.asarray(
-                evaluate_batch(points[:, :num_layers], points[:, num_layers:]),
-                dtype=float,
-            )
-        else:
-            values = np.asarray(
-                [
-                    float(evaluate(point[:num_layers], point[num_layers:]))
-                    for point in points
-                ]
-            )
-        # Bookkeeping walks the points in scan order either way, so the
-        # batched and scalar paths report identical histories.
+        """Evaluate a ``(P, 2p)`` stack in one batched kernel call."""
+        values = np.asarray(
+            evaluate_batch(points[:, :num_layers], points[:, num_layers:]),
+            dtype=float,
+        )
+        # Bookkeeping walks the points in scan order.
         for point, value in zip(points, values):
             record(point, float(value))
         return values
@@ -284,36 +254,24 @@ def optimize_qaoa(
         else:
             starts.extend(candidates)
 
-    if value_and_grad is not None:
+    def objective_with_grad(point: np.ndarray) -> tuple[float, np.ndarray]:
+        # One pass yields the value and the exact gradient; count both (the
+        # value is genuinely recomputed — L-BFGS needs the gradient even at
+        # already-seen points).
+        nonlocal gradient_evaluations
+        value, grad = value_and_grad(point[:num_layers], point[num_layers:])
+        gradient_evaluations += 1
+        record(point, float(value))
+        return float(value), np.asarray(grad, dtype=float)
 
-        def objective_with_grad(point: np.ndarray) -> tuple[float, np.ndarray]:
-            # One pass yields the value and the exact gradient; count both
-            # (the value is genuinely recomputed — no memo shortcut, since
-            # L-BFGS needs the gradient even at already-seen points).
-            nonlocal gradient_evaluations
-            value, grad = value_and_grad(
-                point[:num_layers], point[num_layers:]
-            )
-            gradient_evaluations += 1
-            record(point, float(value))
-            return float(value), np.asarray(grad, dtype=float)
-
-        for start in starts:
-            sciopt.minimize(
-                objective_with_grad,
-                start,
-                method="L-BFGS-B",
-                jac=True,
-                options={"maxiter": maxiter},
-            )
-    else:
-        for start in starts:
-            sciopt.minimize(
-                objective,
-                start,
-                method="Nelder-Mead",
-                options={"maxiter": maxiter, "xatol": 1e-4, "fatol": 1e-7},
-            )
+    for start in starts:
+        sciopt.minimize(
+            objective_with_grad,
+            start,
+            method="L-BFGS-B",
+            jac=True,
+            options={"maxiter": maxiter},
+        )
     assert best_point is not None
     return OptimizationResult(
         gammas=tuple(float(g) for g in best_point[:num_layers]),
@@ -365,34 +323,23 @@ class LandscapeScan:
 
 
 def landscape_scan(
-    evaluate: "EvaluateFn | None",
+    evaluate_batch: BatchEvaluateFn,
     resolution: int = 50,
     gamma_range: tuple[float, float] = DEFAULT_GAMMA_RANGE,
     beta_range: tuple[float, float] = DEFAULT_BETA_RANGE,
-    evaluate_batch: "BatchEvaluateFn | None" = None,
 ) -> LandscapeScan:
     """Evaluate a p=1 objective over a ``resolution x resolution`` grid.
 
-    Pass ``evaluate_batch`` to evaluate the whole grid in one vectorized
-    kernel call (the Fig. 12 hot path: ``resolution**2`` scalar objective
-    calls collapse to one batch); ``evaluate`` alone falls back to the
-    point-by-point loop.
+    The whole grid goes through ``evaluate_batch`` in one vectorized
+    kernel call (the Fig. 12 hot path).
     """
     if resolution < 2:
         raise QAOAError(f"resolution must be >= 2, got {resolution}")
-    if evaluate is None and evaluate_batch is None:
-        raise QAOAError("landscape_scan needs evaluate or evaluate_batch")
     gammas = np.linspace(*gamma_range, resolution)
     betas = np.linspace(*beta_range, resolution)
-    if evaluate_batch is not None:
-        grid_g = np.repeat(gammas, resolution)[:, None]
-        grid_b = np.tile(betas, resolution)[:, None]
-        values = np.asarray(
-            evaluate_batch(grid_g, grid_b), dtype=float
-        ).reshape(resolution, resolution)
-    else:
-        values = np.empty((resolution, resolution))
-        for i, gamma in enumerate(gammas):
-            for j, beta in enumerate(betas):
-                values[i, j] = evaluate([gamma], [beta])
+    grid_g = np.repeat(gammas, resolution)[:, None]
+    grid_b = np.tile(betas, resolution)[:, None]
+    values = np.asarray(evaluate_batch(grid_g, grid_b), dtype=float).reshape(
+        resolution, resolution
+    )
     return LandscapeScan(gammas=gammas, betas=betas, values=values)

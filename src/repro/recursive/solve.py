@@ -49,7 +49,7 @@ from repro.cache import (
     rehydrate_spins,
     resolve_cache,
 )
-from repro.cache.memo import cached_anneal_many, cached_simulated_annealing
+from repro.cache.memo import cached_anneal_many
 from repro.exceptions import RecursiveError
 from repro.ising.freeze import decode_spins
 from repro.recursive.tree import FreezeNode, FreezeTree, plan_tree
@@ -230,7 +230,6 @@ def solve_recursive(
         shots=cfg.shots,
         seed=plan_seed,
         cache=cache,
-        vectorized=cfg.vectorized_annealer,
     )
 
     # ------------------------------------------------------------------
@@ -322,24 +321,15 @@ def solve_recursive(
     # each on its own plan-time seed, floored at the triage probe.
     # ------------------------------------------------------------------
     classical_nodes = tree.classical_nodes()
-    if not classical_nodes:
-        anneals = []
-    elif cfg.vectorized_annealer:
-        anneals = cached_anneal_many(
+    anneals = (
+        cached_anneal_many(
             [node.hamiltonian for node in classical_nodes],
             seeds=[node.fallback_seed for node in classical_nodes],
             cache=cache,
         )
-    else:
-        anneals = [
-            cached_simulated_annealing(
-                node.hamiltonian,
-                seed=node.fallback_seed,
-                cache=cache,
-                vectorized=False,
-            )
-            for node in classical_nodes
-        ]
+        if classical_nodes
+        else []
+    )
     for node, anneal in zip(classical_nodes, anneals):
         spins, value = anneal.spins, anneal.value
         if node.rank is not None and node.rank.probe_value < value:

@@ -349,7 +349,6 @@ def plan_tree(
     shots: int = 4096,
     seed: "int | np.random.Generator | None" = None,
     cache: "SolveCache | None" = None,
-    vectorized: bool = True,
 ) -> FreezeTree:
     """Plan a recursive solve of one instance as a :class:`FreezeTree`.
 
@@ -363,7 +362,6 @@ def plan_tree(
         shots: Shots each leaf will use (feeds the budget's shot cap).
         seed: Seed of the planning stream (probe seeds, fallback seeds).
         cache: Solve cache for the triage probes.
-        vectorized: Probe with the batched annealing engine (default).
 
     Returns:
         A validated :class:`FreezeTree`.
@@ -450,7 +448,6 @@ def plan_tree(
                 non_mirror,
                 seed=probe_seed,
                 cache=cache,
-                vectorized=vectorized,
             )
             recursed = {r.index for r in ranks[: cfg.max_children]}
             rank_by_index = {r.index: r for r in ranks}

@@ -146,8 +146,6 @@ def plan_proxy(
         grid_resolution=config.grid_resolution,
         maxiter=config.maxiter,
         ratio=config.proxy_ratio,
-        optimizer="lbfgs" if config.gradient_training else "nm",
-        engine="vec" if config.vectorized_evaluation else "scalar",
     )
     return ProxySpec(
         hamiltonian=proxy,

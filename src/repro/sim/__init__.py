@@ -14,12 +14,6 @@ Three execution fidelities, trading accuracy for scale:
   trajectory simulator in tests.
 """
 
-from repro.sim.batched import (
-    batched_probabilities,
-    batched_statevectors,
-    circuit_signature,
-    group_by_signature,
-)
 from repro.sim.depolarizing import (
     circuit_fidelity,
     noisy_counts,
@@ -52,12 +46,8 @@ from repro.sim.statevector import (
 __all__ = [
     "Counts",
     "NoiseModel",
-    "batched_probabilities",
-    "batched_statevectors",
     "circuit_fidelity",
-    "circuit_signature",
     "combine_term_expectations",
-    "group_by_signature",
     "expectation_from_counts",
     "expectation_from_probabilities",
     "noisy_counts",

@@ -1,44 +1,14 @@
-"""Vectorized statevector simulation of same-shape circuit batches.
+"""The batched single-qubit gate primitive of the fused QAOA kernel.
 
-FrozenQubits' sub-problems share one circuit structure — siblings differ
-only in rotation angles (Sec. 3.7.1) — so their bound circuits can be
-evaluated together: stack the ``B`` statevectors into one ``(B, 2, ..., 2)``
-tensor and apply each gate position once across the whole batch with a
-broadcasted matmul. This trades ``B`` trips through the Python gate loop
-for one, which is where the time goes for NISQ-sized circuits.
-
-Two circuits are *same-shape* when :func:`circuit_signature` agrees: equal
-width and an identical sequence of (gate name, target qubits). Angles are
-free to differ per batch item.
+:mod:`repro.sim.qaoa_kernel` stacks ``B`` statevectors into one
+``(B, 2, ..., 2)`` tensor (a parameter batch, or a sibling fan-out) and
+applies each layer's mixer rotation to every item with one broadcasted
+matmul per qubit. This module holds that one primitive.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
-
-from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.gates import DIAGONAL_GATES
-from repro.exceptions import SimulationError
-from repro.sim.statevector import MAX_SIM_QUBITS, diagonal_broadcast
-
-#: Keys a batch is grouped by: circuits matching on this can be stacked.
-Signature = tuple
-
-
-def circuit_signature(circuit: QuantumCircuit) -> Signature:
-    """Structural key of a circuit: width plus the (name, qubits) sequence.
-
-    Barriers and measures are skipped (the simulator ignores them), so two
-    circuits that differ only in measurement bookkeeping still batch.
-    """
-    ops = tuple(
-        (op.name, op.qubits)
-        for op in circuit
-        if op.name not in ("barrier", "measure")
-    )
-    return (circuit.num_qubits, ops)
 
 
 def _apply_single_batched(
@@ -52,130 +22,3 @@ def _apply_single_batched(
     shaped = moved.reshape(batch, 2, -1)
     result = np.matmul(matrices, shaped)
     return np.moveaxis(result.reshape(moved.shape), 1, axis + 1)
-
-
-def _apply_double_batched(
-    state: np.ndarray, matrices: np.ndarray, axis_a: int, axis_b: int
-) -> np.ndarray:
-    moved = np.moveaxis(state, (axis_a + 1, axis_b + 1), (1, 2))
-    batch = moved.shape[0]
-    shaped = moved.reshape(batch, 4, -1)
-    result = np.matmul(matrices, shaped)
-    return np.moveaxis(
-        result.reshape(moved.shape), (1, 2), (axis_a + 1, axis_b + 1)
-    )
-
-
-def _position_matrices(gate_lists: Sequence[list], index: int) -> np.ndarray:
-    """Gate matrices of gate position ``index`` across the batch.
-
-    ``gate_lists`` holds each circuit's unitary gates only (barriers and
-    measures stripped), so position ``index`` addresses the same gate in
-    every item even when the circuits interleave bookkeeping differently.
-    Returns a single ``(2, 2)``/``(4, 4)`` matrix when every item carries
-    the same angle (fixed gates, shared parameters) so the matmul can
-    broadcast, and a stacked ``(B, d, d)`` array otherwise.
-    """
-    reference = gate_lists[0][index]
-    if reference.angle is None or all(
-        gates[index].angle == reference.angle for gates in gate_lists[1:]
-    ):
-        return reference.matrix()
-    return np.stack([gates[index].matrix() for gates in gate_lists])
-
-
-def _position_diagonals(gate_lists: Sequence[list], index: int) -> np.ndarray:
-    """Gate diagonals of a diagonal gate position across the batch.
-
-    Shape ``(2,)``/``(4,)`` when the angle is shared, ``(B, 2)``/``(B, 4)``
-    when items differ.
-    """
-    matrices = _position_matrices(gate_lists, index)
-    if matrices.ndim == 2:
-        return matrices.diagonal()
-    return matrices.diagonal(axis1=-2, axis2=-1)
-
-
-def batched_statevectors(circuits: Sequence[QuantumCircuit]) -> np.ndarray:
-    """Final statevectors of a same-shape batch, shape ``(B, 2**n)``.
-
-    Args:
-        circuits: Fully bound circuits sharing one :func:`circuit_signature`.
-
-    Raises:
-        SimulationError: On an empty batch, mismatched shapes, symbolic
-            angles, or oversized circuits.
-    """
-    if not circuits:
-        raise SimulationError("cannot simulate an empty circuit batch")
-    signature = circuit_signature(circuits[0])
-    for circuit in circuits[1:]:
-        if circuit_signature(circuit) != signature:
-            raise SimulationError(
-                "batched simulation requires same-shape circuits; "
-                f"{circuit.name!r} does not match {circuits[0].name!r}"
-            )
-    n = circuits[0].num_qubits
-    if n > MAX_SIM_QUBITS:
-        raise SimulationError(
-            f"statevector simulation capped at {MAX_SIM_QUBITS} qubits, got {n}"
-        )
-    for circuit in circuits:
-        if circuit.is_parametric:
-            raise SimulationError(
-                "cannot simulate a circuit with unbound parameters"
-            )
-    batch = len(circuits)
-    # Align by *gate* position: signatures ignore barriers/measures, so
-    # items may interleave bookkeeping differently — strip it first.
-    gate_lists = [
-        [op for op in circuit if op.name not in ("barrier", "measure")]
-        for circuit in circuits
-    ]
-    state = np.zeros((batch, 1 << n), dtype=complex)
-    state[:, 0] = 1.0
-    tensor = state.reshape((batch,) + (2,) * n) if n else state
-    for index, instruction in enumerate(gate_lists[0]):
-        if len(instruction.qubits) == 1:
-            axis = n - 1 - instruction.qubits[0]
-            if instruction.name in DIAGONAL_GATES:
-                diags = _position_diagonals(gate_lists, index)
-                tensor *= diagonal_broadcast(diags, tensor.ndim, axis + 1)
-            else:
-                matrices = _position_matrices(gate_lists, index)
-                tensor = _apply_single_batched(tensor, matrices, axis)
-        else:
-            qa, qb = instruction.qubits
-            if instruction.name in DIAGONAL_GATES:
-                diags = _position_diagonals(gate_lists, index)
-                tensor *= diagonal_broadcast(
-                    diags, tensor.ndim, n - qa, n - qb
-                )
-            else:
-                matrices = _position_matrices(gate_lists, index)
-                tensor = _apply_double_batched(
-                    tensor, matrices, n - 1 - qa, n - 1 - qb
-                )
-    return tensor.reshape(batch, -1)
-
-
-def batched_probabilities(circuits: Sequence[QuantumCircuit]) -> np.ndarray:
-    """Measurement probabilities per batch item, shape ``(B, 2**n)``."""
-    amplitudes = batched_statevectors(circuits)
-    return np.abs(amplitudes) ** 2
-
-
-def group_by_signature(
-    circuits: Sequence[QuantumCircuit],
-) -> dict[Signature, list[int]]:
-    """Partition circuit indices into same-shape groups.
-
-    Returns:
-        Map signature -> indices into ``circuits`` (in input order), so a
-        caller can simulate each group with one stacked pass and scatter
-        the rows back to their jobs.
-    """
-    groups: dict[Signature, list[int]] = {}
-    for index, circuit in enumerate(circuits):
-        groups.setdefault(circuit_signature(circuit), []).append(index)
-    return groups

@@ -8,6 +8,15 @@ from hypothesis import strategies as st
 
 from repro.graphs.generators import barabasi_albert_graph
 from repro.ising.hamiltonian import IsingHamiltonian
+from repro.qaoa.analytic import qaoa1_term_expectations
+from repro.qaoa.circuits import build_qaoa_template
+from repro.sim.depolarizing import noisy_expectation
+from repro.sim.expectation import (
+    combine_term_expectations,
+    expectation_from_probabilities,
+    term_expectations_from_probabilities,
+)
+from repro.sim.statevector import probabilities
 
 
 def pytest_addoption(parser):
@@ -89,3 +98,39 @@ def hamiltonian_strategy(max_qubits: int = 6):
         return IsingHamiltonian(n, linear=linear, quadratic=quadratic, offset=offset)
 
     return build()
+
+
+def reference_expectation(context, gammas, betas, noisy: bool = False) -> float:
+    """A context's expectation from the independent oracles, per point.
+
+    p = 1 goes through the per-term closed form
+    (:func:`~repro.qaoa.analytic.qaoa1_term_expectations`), p >= 2 through
+    the gate-level statevector of the bound template. ``noisy`` folds the
+    context's fidelity and readout factors in with
+    :func:`~repro.sim.depolarizing.noisy_expectation`. None of this touches
+    the batched evaluation engine the tests hold to it.
+    """
+    hamiltonian = context.hamiltonian
+    if context.num_layers == 1:
+        z_values, zz_values = qaoa1_term_expectations(
+            hamiltonian, gammas[0], betas[0]
+        )
+    else:
+        template = build_qaoa_template(
+            hamiltonian, num_layers=context.num_layers
+        )
+        probs = probabilities(template.bind(gammas, betas))
+        if not noisy:
+            return expectation_from_probabilities(hamiltonian, probs)
+        z_values, zz_values = term_expectations_from_probabilities(
+            hamiltonian, probs
+        )
+    if noisy:
+        return noisy_expectation(
+            hamiltonian,
+            z_values,
+            zz_values,
+            fidelity=context.fidelity,
+            readout=context.readout,
+        )
+    return combine_term_expectations(hamiltonian, z_values, zz_values)

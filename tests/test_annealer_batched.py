@@ -9,12 +9,13 @@ Covers the engine's four core contracts:
 * **reproducibility** — seeded runs are deterministic, and a sibling's
   result is independent of batch composition (the property the batch-aware
   cache memo relies on);
-* **quality parity** — the vectorized engine matches the legacy scalar
-  loop's mean best energy within noise on seeded power-law instances.
+* **quality parity** — the batched engine matches the per-spin scalar
+  Metropolis oracle (``tests/scalar_annealer.py``) on mean best energy
+  within noise on seeded power-law instances.
 
-Plus the cache-layer integration (per-sibling hits, engine-tagged keys,
-payload round-trips), the solver surfacing (fallback provenance, unified
-sampling-cap caching), and the fingerprint-keyed distance-matrix memo.
+Plus the cache-layer integration (per-sibling hits, payload round-trips),
+the solver surfacing (fallback provenance, unified sampling-cap caching),
+and the fingerprint-keyed distance-matrix memo.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import pytest
 
 from repro.backend.serial import SerialBackend
 from repro.baselines.classical import c_min_many, solve_classically_many
-from repro.cache.keys import anneal_key
 from repro.cache.memo import (
     cached_anneal_many,
     cached_simulated_annealing,
@@ -43,6 +43,7 @@ from repro.ising.bruteforce import brute_force_minimum
 from repro.ising.hamiltonian import IsingHamiltonian
 from repro.planning.budget import ExecutionBudget
 from repro.planning.pruning import rank_assignments
+from tests.scalar_annealer import _simulated_annealing_scalar
 
 
 def _powerlaw(n: int, attachment: int, seed: int) -> IsingHamiltonian:
@@ -203,25 +204,10 @@ class TestValidationAndEdgeCases:
         result = anneal_many([h], num_sweeps=40, num_restarts=2, seeds=[1])[0]
         assert result.value == brute_force_minimum(h).value
 
-    def test_legacy_engine_unchanged_for_seeded_calls(self):
-        # A frozen reference from the pre-batched-engine scalar loop: the
-        # legacy path must keep reproducing it flip-for-flip.
-        h = IsingHamiltonian(
-            4,
-            linear=[0.5, 0.0, -1.0, 0.25],
-            quadratic={(0, 1): 1.0, (1, 2): -1.0, (2, 3): 1.0, (0, 3): -1.0},
-            offset=0.5,
-        )
-        result = simulated_annealing(
-            h, num_sweeps=30, num_restarts=2, seed=42, vectorized=False
-        )
-        assert result.value == -5.25
-        assert result.spins == (-1, 1, 1, -1)
-
 
 class TestQualityParity:
     def test_mean_best_energy_within_noise_of_legacy(self):
-        """Seeded power-law parity: same sweeps x replicas, both engines."""
+        """Seeded power-law parity: same sweeps x replicas as the oracle."""
         vector_bests = []
         scalar_bests = []
         for seed in range(6):
@@ -232,9 +218,10 @@ class TestQualityParity:
                 ).value
             )
             scalar_bests.append(
-                simulated_annealing(
-                    h, num_sweeps=120, num_restarts=4, seed=seed,
-                    vectorized=False,
+                _simulated_annealing_scalar(
+                    h, num_sweeps=120, num_restarts=4,
+                    initial_temperature=5.0, final_temperature=0.01,
+                    seed=seed,
                 ).value
             )
         vector_mean = float(np.mean(vector_bests))
@@ -248,10 +235,13 @@ class TestQualityParity:
 class TestAnnealResultProvenance:
     def test_replica_fields_populated_on_both_engines(self):
         h = _powerlaw(10, 1, seed=6)
-        for vectorized in (True, False):
-            result = simulated_annealing(
-                h, num_sweeps=25, num_restarts=3, seed=8, vectorized=vectorized
-            )
+        for result in (
+            simulated_annealing(h, num_sweeps=25, num_restarts=3, seed=8),
+            _simulated_annealing_scalar(
+                h, num_sweeps=25, num_restarts=3, initial_temperature=5.0,
+                final_temperature=0.01, seed=8,
+            ),
+        ):
             assert result.num_replicas == 3
             assert len(result.restart_values) == 3
             assert min(result.restart_values) == pytest.approx(result.value)
@@ -271,12 +261,6 @@ class TestAnnealResultProvenance:
 
 
 class TestCacheIntegration:
-    def test_engine_tag_separates_cache_keys(self):
-        h = _powerlaw(8, 1, seed=4)
-        scalar = anneal_key(h, 10, 2, 5.0, 0.01, 7)
-        assert anneal_key(h, 10, 2, 5.0, 0.01, 7, engine="scalar") == scalar
-        assert anneal_key(h, 10, 2, 5.0, 0.01, 7, engine="vectorized") != scalar
-
     def test_cached_anneal_many_answers_hits_individually(self):
         cells = _sibling_cells(n=12, m=3, seed=17)
         seeds = list(range(30, 30 + len(cells)))

@@ -25,6 +25,12 @@ from repro.cache import (
     stats_delta,
     summarize_stats,
 )
+from repro.cache.keys import (
+    anneal_key,
+    ising_fingerprint,
+    params_key,
+    proxy_params_key,
+)
 from repro.cache.memo import params_payload, params_rebuild
 from repro.devices import get_backend
 from repro.exceptions import CacheError
@@ -315,6 +321,41 @@ def test_cached_transpile_round_trips_through_disk(tmp_path, problem):
     assert set(rebuilt.parametric_instruction_indices()) == set(
         compiled.parametric_instruction_indices()
     )
+
+
+def test_cache_key_spellings_stay_stable():
+    """The anneal, params and proxy-params keys hash to the digests that
+    earlier releases wrote, so a warm ``--cache-dir`` keeps answering.
+
+    Each key ends in a constant engine token (``|vectorized``,
+    ``|opt=lbfgs``, ``opt=lbfgs|engine=vec``); dropping one changes every
+    digest and silently cold-starts existing caches.
+    """
+    h = IsingHamiltonian(
+        4,
+        linear=[0.5, -1.0, 0.0, 2.0],
+        quadratic={(0, 1): 1.0, (1, 2): -1.0, (2, 3): 0.5},
+        offset=0.25,
+    )
+    fingerprint = ising_fingerprint(h)
+    assert fingerprint == (
+        "9538be790c7a953da87adfbc69d2734855706fa9c81464b8d93f170098c2f44c"
+    )
+    assert anneal_key(h, 500, 4, 5.0, 0.01, 7) == (
+        "755210ef5d360a06bd53c574eaaae87ad03ef3346c1a1985141ee7e1d32f9f18"
+    )
+    assert params_key(
+        fingerprint,
+        num_layers=1,
+        grid_resolution=12,
+        maxiter=60,
+        train_noisy=False,
+        noise_signature="ideal",
+        mode="fresh",
+    ) == "67e4b2232f6f307cafe6a887d86d8ccbb0c446800c0d7522ed84096a6b6df631"
+    assert proxy_params_key(
+        fingerprint, num_layers=2, grid_resolution=12, maxiter=60, ratio=0.7
+    ) == "1a003eb7a2e64a46a9e4d1527ef1f94b9eb8573635e2fdaa86337a15ec402b57"
 
 
 def test_cached_wrappers_are_transparent_without_a_cache(problem):

@@ -1,6 +1,6 @@
 """Tests for the vectorized evaluation engine.
 
-Three layers of agreement, all against the original scalar references:
+Three layers of agreement, all against independent per-point oracles:
 
 * the batched p=1 closed form (``QAOA1Structure`` /
   ``qaoa1_expectations_batch``) vs the per-point Python loop of
@@ -8,7 +8,9 @@ Three layers of agreement, all against the original scalar references:
 * the fused diagonal statevector kernel (``sim/qaoa_kernel``) vs the
   gate-by-gate ``simulate_statevector`` on the bound template;
 * the ``evaluate_batch`` objective (and the optimizer/scan paths built on
-  it) vs the legacy scalar ``evaluate_ideal`` / ``evaluate_noisy``.
+  it) vs ``reference_expectation`` (``tests/conftest.py``): the per-term
+  closed form at p=1, the gate-level statevector at p>=2, and noise folded
+  in by ``noisy_expectation``.
 
 Agreement bars are 1e-12 absolute — far below anything training could
 notice, far above accumulation noise. Random instances are seeded
@@ -42,6 +44,7 @@ from repro.qaoa import (
     qaoa1_expectation,
     qaoa1_expectations_batch,
     qaoa1_term_expectations,
+    value_and_grad_objective,
 )
 from repro.sim.qaoa_kernel import (
     qaoa_expectations_batch,
@@ -50,6 +53,7 @@ from repro.sim.qaoa_kernel import (
     qaoa_statevector,
 )
 from repro.sim.statevector import probabilities, simulate_statevector
+from tests.conftest import reference_expectation
 
 TOL = 1e-12
 
@@ -141,15 +145,13 @@ class TestBatchedAnalytic:
     def test_noise_weights_match_scalar_noisy_path(self):
         h = random_powerlaw_instance(5)
         context = make_context(h, device=get_backend("montreal"))
-        legacy = make_context(
-            h, device=get_backend("montreal"), vectorized=False
-        )
         rng = np.random.default_rng(17)
         gammas = rng.uniform(-2, 2, 6)
         betas = rng.uniform(-2, 2, 6)
         batch = evaluate_batch(context, gammas, betas, noisy=True)
         scalar = [
-            evaluate_noisy(legacy, [g], [b]) for g, b in zip(gammas, betas)
+            reference_expectation(context, [g], [b], noisy=True)
+            for g, b in zip(gammas, betas)
         ]
         assert np.max(np.abs(batch - scalar)) < TOL
 
@@ -225,17 +227,17 @@ class TestEvaluateBatch:
         h = random_powerlaw_instance(41, num_qubits=6)
         device = get_backend("montreal")
         context = make_context(h, num_layers=num_layers, device=device)
-        legacy = make_context(
-            h, num_layers=num_layers, device=device, vectorized=False
-        )
         rng = np.random.default_rng(43)
         G = rng.uniform(-2, 2, (5, num_layers))
         B = rng.uniform(-2, 2, (5, num_layers))
         batch = evaluate_batch(context, G, B, noisy=noisy)
         fn = evaluate_noisy if noisy else evaluate_ideal
-        scalar = [fn(legacy, G[i], B[i]) for i in range(5)]
+        scalar = [
+            reference_expectation(context, G[i], B[i], noisy=noisy)
+            for i in range(5)
+        ]
         assert np.max(np.abs(batch - scalar)) < TOL
-        # The scalar entry points agree with their own batch too.
+        # The single-point entry points agree with their own batch too.
         point = [float(fn(context, G[i], B[i])) for i in range(5)]
         assert np.max(np.abs(batch - point)) < TOL
 
@@ -244,132 +246,85 @@ class TestEvaluateBatch:
         with pytest.raises(QAOAError):
             evaluate_batch(context, np.zeros((3, 1)), np.zeros((3, 1)))
 
-    def test_batch_objective_none_for_scalar_context(self):
-        context = make_context(EDGE_CASES[1], vectorized=False)
-        assert batch_objective(context) is None
-
 
 class TestOptimizerIntegration:
     def test_batched_and_scalar_seeding_agree(self):
+        """The batched grid scan scores every point like the per-point
+        oracle, and refinement starts from the oracle's grid winner."""
         h = random_powerlaw_instance(47, num_qubits=6)
         context = make_context(h)
-        scalar = optimize_qaoa(
-            lambda g, b: evaluate_ideal(context, g, b), grid_resolution=8
+        scanned: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        starts: list[np.ndarray] = []
+        evaluate = batch_objective(context)
+        value_and_grad = value_and_grad_objective(context)
+
+        def recording_batch(gammas, betas):
+            values = evaluate(gammas, betas)
+            scanned.append((gammas.copy(), betas.copy(), values))
+            return values
+
+        def recording_grad(gammas, betas):
+            starts.append(np.concatenate([gammas, betas]))
+            return value_and_grad(gammas, betas)
+
+        result = optimize_qaoa(
+            recording_batch, recording_grad, grid_resolution=8
         )
-        batched = optimize_qaoa(
-            lambda g, b: evaluate_ideal(context, g, b),
-            grid_resolution=8,
-            evaluate_batch=batch_objective(context),
+        [(gammas, betas, values)] = scanned
+        assert len(values) == 64
+        scalar = [
+            reference_expectation(context, g, b) for g, b in zip(gammas, betas)
+        ]
+        assert np.max(np.abs(values - scalar)) < TOL
+        winner = int(np.argmin(scalar))
+        np.testing.assert_array_equal(
+            starts[0], [gammas[winner, 0], betas[winner, 0]]
         )
-        assert batched.gammas == pytest.approx(scalar.gammas, abs=TOL)
-        assert batched.betas == pytest.approx(scalar.betas, abs=TOL)
-        assert batched.value == pytest.approx(scalar.value, abs=TOL)
-        assert batched.num_evaluations == scalar.num_evaluations
-        assert batched.history == pytest.approx(scalar.history, abs=TOL)
-
-    def test_seed_vertex_not_double_counted(self):
-        h = random_powerlaw_instance(53, num_qubits=5)
-        context = make_context(h)
-        seen: list[tuple[float, float]] = []
-
-        def evaluate(gammas, betas):
-            seen.append((float(gammas[0]), float(betas[0])))
-            return evaluate_ideal(context, gammas, betas)
-
-        result = optimize_qaoa(evaluate, grid_resolution=6)
-        # Every objective call reached the black box exactly once ...
-        assert result.num_evaluations == len(seen)
-        # ... and the winning grid point was never re-evaluated by
-        # Nelder-Mead at its start vertex.
-        winner = (result.history[-1] if result.history else None)
-        grid_points = seen[:36]
-        values = [evaluate_ideal(context, [g], [b]) for g, b in grid_points]
-        best_grid = grid_points[int(np.argmin(values))]
-        assert seen.count(best_grid) == 1
+        assert result.value <= min(scalar) + TOL
+        assert result.num_evaluations == 64 + result.num_gradient_evaluations
 
     def test_warm_start_acceptance_batched_matches_scalar(self):
+        """The two-point acceptance batch decides like the oracle."""
         h = random_powerlaw_instance(59, num_qubits=6)
         context = make_context(h)
-        trained = optimize_qaoa(
-            lambda g, b: evaluate_ideal(context, g, b), grid_resolution=8
-        )
+        objectives = (batch_objective(context), value_and_grad_objective(context))
+        trained = optimize_qaoa(*objectives, grid_resolution=8)
         point = (trained.gammas, trained.betas)
-        kwargs = dict(grid_resolution=8, initial_point=point)
-        scalar = optimize_qaoa(
-            lambda g, b: evaluate_ideal(context, g, b), **kwargs
-        )
-        batched = optimize_qaoa(
-            lambda g, b: evaluate_ideal(context, g, b),
-            evaluate_batch=batch_objective(context),
-            **kwargs,
-        )
-        assert scalar.warm_started and batched.warm_started
-        assert batched.value == pytest.approx(scalar.value, abs=TOL)
-        assert batched.num_evaluations == scalar.num_evaluations
+        result = optimize_qaoa(*objectives, grid_resolution=8, initial_point=point)
+        untrained = reference_expectation(context, [0.0], [0.0])
+        transferred = reference_expectation(context, *point)
+        assert transferred < untrained
+        assert result.warm_started and not result.warm_start_rejected
+        assert result.history[0] == pytest.approx(untrained, abs=TOL)
+        assert result.value <= transferred + TOL
+        assert result.num_evaluations == 2 + result.num_gradient_evaluations
 
     def test_landscape_scan_batched_matches_scalar(self):
         h = random_powerlaw_instance(61, num_qubits=6)
         device = get_backend("montreal")
         context = make_context(h, device=device)
-        legacy = make_context(h, device=device, vectorized=False)
-        scalar = landscape_scan(
-            lambda g, b: evaluate_noisy(legacy, g, b), resolution=9
-        )
         batched = landscape_scan(
-            None,
-            resolution=9,
-            evaluate_batch=batch_objective(context, noisy=True),
+            batch_objective(context, noisy=True), resolution=9
         )
-        assert np.max(np.abs(scalar.values - batched.values)) < TOL
-        assert batched.best == pytest.approx(scalar.best, abs=TOL)
-
-    def test_landscape_scan_requires_an_objective(self):
-        with pytest.raises(QAOAError):
-            landscape_scan(None, resolution=5)
-
-
-class TestScalarPinnedSampling:
-    def test_batched_backend_matches_serial_on_legacy_path(self):
-        """vectorized_evaluation=False pins the gate-loop sampling path on
-        every backend: the batched backend falls back to the stacked gate
-        loop and still matches serial bit-for-bit."""
-        from repro.core import FrozenQubitsSolver, SolverConfig
-
-        h = random_powerlaw_instance(83, num_qubits=8, attachment=1)
-        device = get_backend("montreal")
-        config = SolverConfig(
-            shots=256, grid_resolution=4, maxiter=6,
-            vectorized_evaluation=False,
+        scalar = np.array(
+            [
+                [
+                    reference_expectation(context, [g], [b], noisy=True)
+                    for b in batched.betas
+                ]
+                for g in batched.gammas
+            ]
         )
-
-        def solve(backend):
-            solver = FrozenQubitsSolver(num_frozen=2, config=config, seed=5)
-            return solver.solve(h, device, backend=backend)
-
-        serial = solve("serial")
-        batched = solve("batched")
-        assert serial.best_spins == batched.best_spins
-        assert serial.ev_noisy == batched.ev_noisy
-        assert sorted(serial.combined_counts.items()) == sorted(
-            batched.combined_counts.items()
+        assert np.max(np.abs(scalar - batched.values)) < TOL
+        index = np.unravel_index(int(np.argmin(scalar)), scalar.shape)
+        assert batched.best == pytest.approx(
+            (
+                batched.gammas[index[0]],
+                batched.betas[index[1]],
+                scalar[index],
+            ),
+            abs=TOL,
         )
-        # The legacy path really built bound sampling circuits...
-        from repro.backend.base import train_job
-        from repro.core.solver import FrozenQubitsSolver as Solver
-
-        prepared = Solver(num_frozen=2, config=config, seed=5).prepare_jobs(
-            h, device
-        )
-        trained = train_job(prepared.jobs[0])
-        assert trained.sampling_circuit is not None
-        # ... while the vectorized path skips them and samples via the
-        # fused kernel.
-        vec_config = SolverConfig(shots=256, grid_resolution=4, maxiter=6)
-        prepared = Solver(num_frozen=2, config=vec_config, seed=5).prepare_jobs(
-            h, device
-        )
-        trained = train_job(prepared.jobs[0])
-        assert trained.sampling_circuit is None and trained.needs_sampling
 
 
 class TestSpectrumMemo:

@@ -1,4 +1,4 @@
-"""Golden-file regression tests for two end-to-end solve scenarios.
+"""Golden-file regression tests for end-to-end solve scenarios.
 
 Instead of loose tolerances, these tests serialize the full scientific
 output of a seeded solve — counts, expectations (as exact ``float.hex``
@@ -91,66 +91,33 @@ def check_golden(name: str, result: FrozenQubitsResult, update: bool) -> None:
 def test_golden_frozenqubits_device_solve(update_golden):
     """Scenario 1: m=2 FrozenQubits solve on a noisy device, mirrors on.
 
-    Pinned to the legacy Nelder-Mead optimizer
-    (``analytic_gradients=False``): this fixture predates the gradient
-    training engine and must stay byte-identical.
+    Also pins the training work exactly: objective evaluations and
+    gradient passes, summed over the executed cells.
     """
     graph = barabasi_albert_graph(8, attachment=1, seed=21)
     problem = IsingHamiltonian.from_graph(graph, weights="random_pm1", seed=22)
     solver = FrozenQubitsSolver(
         num_frozen=2,
-        config=SolverConfig(
-            grid_resolution=4, maxiter=6, shots=512, analytic_gradients=False
-        ),
+        config=SolverConfig(grid_resolution=4, maxiter=6, shots=512),
         seed=2023,
     )
     result = solver.solve(problem, get_backend("montreal"))
+    assert result.num_optimizer_evaluations == 24
+    assert result.num_gradient_evaluations == 7
     check_golden("frozenqubits_device_m2", result, update_golden)
 
 
-def test_golden_budgeted_solve_with_fallback(update_golden):
-    """Scenario 2: budget-capped fan-out with classical fallback coverage.
-
-    Pinned to the legacy scalar annealer (``vectorized_annealer=False``):
-    this fixture predates the batched engine and must stay byte-identical
-    — it is the proof that the legacy path still reproduces historical
-    results flip-for-flip.
-    """
-    graph = barabasi_albert_graph(9, attachment=2, seed=23)
-    problem = IsingHamiltonian.from_graph(graph, weights="random_pm1", seed=24)
-    solver = FrozenQubitsSolver(
-        num_frozen=3,
-        config=SolverConfig(
-            grid_resolution=3,
-            maxiter=4,
-            shots=256,
-            vectorized_annealer=False,
-            analytic_gradients=False,
-        ),
-        seed=2024,
-        budget=ExecutionBudget(max_circuits=2),
-        warm_start=False,
-    )
-    result = solver.solve(problem, get_backend("montreal"))
-    assert result.skipped_assignments  # the scenario must exercise fallback
-    check_golden("budgeted_fallback_m3", result, update_golden)
-
-
 def test_golden_budgeted_solve_vectorized_annealer(update_golden):
-    """Scenario 3: the same budgeted solve on the batched annealing engine.
+    """Scenario 3: budget-capped fan-out with classical fallback coverage.
 
-    Same problem and seed as scenario 2 with the default
-    ``vectorized_annealer=True`` — pins the vectorized probes and the
-    batched classical fallback bit-for-bit, and records replica
-    provenance for every covered cell.
+    Pins the batched annealing probes and the batched classical fallback
+    bit-for-bit, and records replica provenance for every covered cell.
     """
     graph = barabasi_albert_graph(9, attachment=2, seed=23)
     problem = IsingHamiltonian.from_graph(graph, weights="random_pm1", seed=24)
     solver = FrozenQubitsSolver(
         num_frozen=3,
-        config=SolverConfig(
-            grid_resolution=3, maxiter=4, shots=256, analytic_gradients=False
-        ),
+        config=SolverConfig(grid_resolution=3, maxiter=4, shots=256),
         seed=2024,
         budget=ExecutionBudget(max_circuits=2),
         warm_start=False,
@@ -163,7 +130,7 @@ def test_golden_budgeted_solve_vectorized_annealer(update_golden):
     assert set(result.fallback_provenance) == {
         o.subproblem.index for o in classical
     }
-    check_golden("budgeted_fallback_m3_vectorized", result, update_golden)
+    check_golden("budgeted_fallback_m3", result, update_golden)
 
 
 def test_golden_gradient_trained_p2_solve(update_golden):
@@ -184,7 +151,8 @@ def test_golden_gradient_trained_p2_solve(update_golden):
         seed=2023,
     )
     result = solver.solve(problem, get_backend("montreal"))
-    assert result.num_gradient_evaluations > 0
+    assert result.num_optimizer_evaluations == 49
+    assert result.num_gradient_evaluations == 48
     check_golden("gradient_trained_p2_m2", result, update_golden)
 
 

@@ -7,31 +7,37 @@ Three layers of evidence:
   finite differences to <= 1e-8 on seeded power-law instances and on the
   h-only / J-only / isolated-qubit / noisy-weights edge cases;
 * the two gradient paths agree with each other at p=1, and the returned
-  values are bit-compatible with the legacy ``evaluate_ideal`` /
-  ``evaluate_noisy`` objectives;
+  values match the independent per-point oracles (``reference_expectation``
+  in ``tests/conftest.py``: per-term closed form at p=1, gate-level
+  statevector at p>=2, ``noisy_expectation`` for noise) to <= 1e-12;
 * the L-BFGS-B training path converges in fewer objective evaluations at
-  an equal-or-better value than the pinned Nelder-Mead reference, counts
-  its gradient evaluations separately, and is bit-identical across the
-  serial, process-pool, and batched execution backends.
+  an equal-or-better value than a derivative-free Nelder-Mead run from the
+  same multistarts, counts its gradient evaluations separately, and is
+  bit-identical across the serial, process-pool, and batched execution
+  backends.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import optimize as sciopt
 
 from repro.core import FrozenQubitsSolver, SolverConfig
 from repro.devices import get_backend
 from repro.graphs.generators import barabasi_albert_graph
 from repro.ising.hamiltonian import IsingHamiltonian
 from repro.qaoa import (
+    batch_objective,
     make_context,
     optimize_qaoa,
     qaoa1_expectation_and_grad,
     value_and_grad_objective,
 )
-from repro.qaoa.executor import evaluate_ideal, evaluate_noisy
+from repro.qaoa.executor import evaluate_ideal
+from repro.qaoa.optimizer import DEFAULT_BETA_RANGE, DEFAULT_GAMMA_RANGE
 from repro.sim.qaoa_kernel import qaoa_value_and_grad
+from tests.conftest import reference_expectation
 
 FD_TOL = 1e-8
 VALUE_TOL = 1e-12
@@ -124,7 +130,8 @@ class TestAdjointKernel:
             gammas = rng.uniform(-2, 2, 2)
             betas = rng.uniform(-2, 2, 2)
             value, _ = adjoint_flat(h, gammas, betas)
-            assert abs(value - evaluate_ideal(context, gammas, betas)) < VALUE_TOL
+            reference = reference_expectation(context, gammas, betas)
+            assert abs(value - reference) < VALUE_TOL
 
     def test_noisy_observable_matches_finite_differences(self):
         h = random_powerlaw_instance(3, num_qubits=5)
@@ -135,9 +142,12 @@ class TestAdjointKernel:
         gammas = rng.uniform(-2, 2, 2)
         betas = rng.uniform(-2, 2, 2)
         value, grad = fn(gammas, betas)
-        assert abs(value - evaluate_noisy(context, gammas, betas)) < VALUE_TOL
+        reference = reference_expectation(context, gammas, betas, noisy=True)
+        assert abs(value - reference) < VALUE_TOL
         fd = central_difference(
-            lambda g, b: evaluate_noisy(context, g, b), gammas, betas
+            lambda g, b: reference_expectation(context, g, b, noisy=True),
+            gammas,
+            betas,
         )
         assert np.max(np.abs(grad - fd)) < FD_TOL
 
@@ -205,19 +215,17 @@ class TestClosedFormP1:
         rng = np.random.default_rng(41)
         gamma, beta = rng.uniform(-2, 2, 2)
         value, grad = fn(np.array([gamma]), np.array([beta]))
-        assert abs(value - evaluate_noisy(context, [gamma], [beta])) < VALUE_TOL
+        reference = reference_expectation(context, [gamma], [beta], noisy=True)
+        assert abs(value - reference) < VALUE_TOL
         fd = central_difference(
-            lambda g, b: evaluate_noisy(context, g, b), [gamma], [beta]
+            lambda g, b: reference_expectation(context, g, b, noisy=True),
+            [gamma],
+            [beta],
         )
         assert np.max(np.abs(grad - fd)) < FD_TOL
 
 
 class TestValueAndGradObjective:
-    def test_requires_vectorized_context(self):
-        h = EDGE_CASES[1]
-        scalar = make_context(h, vectorized=False)
-        assert value_and_grad_objective(scalar) is None
-
     def test_ideal_matches_legacy_objective(self):
         rng = np.random.default_rng(43)
         for num_layers in (1, 2):
@@ -228,39 +236,73 @@ class TestValueAndGradObjective:
             betas = rng.uniform(-2, 2, num_layers)
             value, grad = fn(gammas, betas)
             assert grad.shape == (2 * num_layers,)
-            assert abs(value - evaluate_ideal(context, gammas, betas)) < VALUE_TOL
+            reference = reference_expectation(context, gammas, betas)
+            assert abs(value - reference) < VALUE_TOL
+
+
+def _nelder_mead(context, num_layers, num_starts, maxiter, seed):
+    """Derivative-free reference: Nelder-Mead from the optimizer's p > 1
+    multistarts (same seed, same draw order). Returns the best value and
+    the objective evaluations spent."""
+    rng = np.random.default_rng(seed)
+    evaluations = 0
+
+    def objective(point):
+        nonlocal evaluations
+        evaluations += 1
+        return evaluate_ideal(context, point[:num_layers], point[num_layers:])
+
+    best = np.inf
+    for __ in range(num_starts):
+        start = np.concatenate(
+            [
+                rng.uniform(*DEFAULT_GAMMA_RANGE, size=num_layers),
+                rng.uniform(*DEFAULT_BETA_RANGE, size=num_layers),
+            ]
+        )
+        found = sciopt.minimize(
+            objective,
+            start,
+            method="Nelder-Mead",
+            options={"maxiter": maxiter, "xatol": 1e-4, "fatol": 1e-7},
+        )
+        best = min(best, float(found.fun))
+    return best, evaluations
 
 
 class TestLBFGSTraining:
-    def _arms(self, num_layers=2, seed=47):
+    def _train(self, num_layers=2, seed=47):
         h = random_powerlaw_instance(4, num_qubits=6)
         context = make_context(h, num_layers=num_layers)
-
-        def run(value_and_grad):
-            return optimize_qaoa(
-                lambda g, b: evaluate_ideal(context, g, b),
-                num_layers=num_layers,
-                grid_resolution=6,
-                num_starts=2,
-                maxiter=60,
-                seed=seed,
-                value_and_grad=value_and_grad,
-            )
-
-        gradient = run(value_and_grad_objective(context))
-        legacy = run(None)
-        return gradient, legacy
+        result = optimize_qaoa(
+            batch_objective(context),
+            value_and_grad_objective(context),
+            num_layers=num_layers,
+            grid_resolution=6,
+            num_starts=2,
+            maxiter=60,
+            seed=seed,
+        )
+        return context, result
 
     def test_fewer_evaluations_at_equal_or_better_value(self):
-        gradient, legacy = self._arms()
-        assert gradient.value <= legacy.value + 1e-9
-        assert gradient.num_evaluations < legacy.num_evaluations
+        context, gradient = self._train()
+        value, evaluations = _nelder_mead(
+            context, num_layers=2, num_starts=2, maxiter=60, seed=47
+        )
+        assert gradient.value <= value + 1e-9
+        assert gradient.num_evaluations < evaluations
 
     def test_gradient_evaluations_counted_separately(self):
-        gradient, legacy = self._arms()
-        assert gradient.num_gradient_evaluations > 0
-        assert gradient.num_gradient_evaluations <= gradient.num_evaluations
-        assert legacy.num_gradient_evaluations == 0
+        __, p2 = self._train()
+        # p > 1 seeds from unevaluated multistarts: every evaluation is a
+        # gradient pass.
+        assert p2.num_gradient_evaluations > 0
+        assert p2.num_gradient_evaluations == p2.num_evaluations
+        # p = 1 adds the 6 x 6 grid scan, which is no gradient pass.
+        __, p1 = self._train(num_layers=1)
+        assert p1.num_gradient_evaluations > 0
+        assert p1.num_evaluations == 36 + p1.num_gradient_evaluations
 
 
 def _solve_fingerprint(result):
@@ -298,17 +340,14 @@ class TestSolverIntegration:
         )
         return solver.solve(problem, get_backend("montreal"), backend=backend)
 
-    def test_gradient_training_flag(self):
-        assert SolverConfig().gradient_training
-        assert not SolverConfig(analytic_gradients=False).gradient_training
-        # Gradients need the vectorized evaluation engine underneath.
-        assert not SolverConfig(vectorized_evaluation=False).gradient_training
-
     def test_gradient_evaluations_accounted(self):
         result = self._solve("serial")
         assert result.num_gradient_evaluations > 0
-        legacy = self._solve("serial", analytic_gradients=False)
-        assert legacy.num_gradient_evaluations == 0
+        assert result.num_gradient_evaluations == sum(
+            o.run.optimization.num_gradient_evaluations
+            for o in result.outcomes
+            if o.run is not None
+        )
 
     def test_bit_identical_across_backends(self):
         """The L-BFGS training path runs per-job in every backend, so the
@@ -318,10 +357,3 @@ class TestSolverIntegration:
         process = _solve_fingerprint(self._solve("process"))
         assert serial == batched
         assert serial == process
-
-    def test_legacy_pin_restores_nelder_mead(self):
-        """analytic_gradients=False must reproduce the pre-gradient-engine
-        behaviour: same config as before the flag existed."""
-        pinned = self._solve("serial", analytic_gradients=False)
-        again = self._solve("serial", analytic_gradients=False)
-        assert _solve_fingerprint(pinned) == _solve_fingerprint(again)

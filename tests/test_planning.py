@@ -487,20 +487,29 @@ class TestWarmStarts:
 
 class TestOptimizerInitialPoint:
     def _quadratic_objective(self, optimum):
-        def evaluate(gammas, betas):
-            return (gammas[0] - optimum[0]) ** 2 + (betas[0] - optimum[1]) ** 2 - 1.0
+        """``(evaluate_batch, value_and_grad)`` of a bowl whose minimum,
+        -1, sits at ``optimum``."""
+        target = np.asarray(optimum, dtype=float)
 
-        return evaluate
+        def evaluate_batch(gammas, betas):
+            points = np.column_stack([gammas[:, 0], betas[:, 0]])
+            return np.sum((points - target) ** 2, axis=1) - 1.0
+
+        def value_and_grad(gammas, betas):
+            delta = np.array([gammas[0], betas[0]]) - target
+            return float(delta @ delta) - 1.0, 2.0 * delta
+
+        return evaluate_batch, value_and_grad
 
     def test_accepted_transfer_skips_seeding_scan(self):
         result = optimize_qaoa(
-            self._quadratic_objective((0.3, 0.2)),
+            *self._quadratic_objective((0.3, 0.2)),
             grid_resolution=12,
             maxiter=40,
             initial_point=((0.29,), (0.21,)),
         )
         assert result.warm_started and not result.warm_start_rejected
-        # 2 probe evaluations + Nelder-Mead, far below the 144-point scan.
+        # 2 probe evaluations + L-BFGS-B, far below the 144-point scan.
         assert result.num_evaluations < 100
         assert result.gammas[0] == pytest.approx(0.3, abs=1e-2)
 
@@ -508,7 +517,7 @@ class TestOptimizerInitialPoint:
         # Optimum at the origin => the null point is already optimal and
         # any transferred point evaluates worse: fallback must trigger.
         result = optimize_qaoa(
-            self._quadratic_objective((0.0, 0.0)),
+            *self._quadratic_objective((0.0, 0.0)),
             grid_resolution=6,
             maxiter=40,
             initial_point=((1.5,), (0.7,)),
@@ -519,15 +528,15 @@ class TestOptimizerInitialPoint:
     def test_wrong_arity_rejected(self):
         with pytest.raises(QAOAError):
             optimize_qaoa(
-                self._quadratic_objective((0.0, 0.0)),
+                *self._quadratic_objective((0.0, 0.0)),
                 num_layers=1,
                 initial_point=((0.1, 0.2), (0.3, 0.4)),
             )
 
     def test_no_initial_point_identical_to_legacy(self):
-        evaluate = self._quadratic_objective((0.3, -0.1))
-        a = optimize_qaoa(evaluate, grid_resolution=8, maxiter=30)
-        b = optimize_qaoa(evaluate, grid_resolution=8, maxiter=30)
+        objectives = self._quadratic_objective((0.3, -0.1))
+        a = optimize_qaoa(*objectives, grid_resolution=8, maxiter=30)
+        b = optimize_qaoa(*objectives, grid_resolution=8, maxiter=30)
         assert a.gammas == b.gammas and a.num_evaluations == b.num_evaluations
         assert not a.warm_started and not a.warm_start_rejected
 

@@ -11,6 +11,7 @@ from repro.ising import IsingHamiltonian, brute_force_minimum
 from repro.qaoa import (
     approximation_ratio,
     approximation_ratio_gap,
+    batch_objective,
     build_qaoa_circuit,
     build_qaoa_template,
     evaluate_ideal,
@@ -20,6 +21,7 @@ from repro.qaoa import (
     optimize_qaoa,
     qaoa1_expectation,
     qaoa1_term_expectations,
+    value_and_grad_objective,
 )
 from repro.sim import expectation_from_probabilities, probabilities
 from repro.sim.expectation import term_expectations_from_probabilities
@@ -151,13 +153,16 @@ class TestMetrics:
             approximation_ratio(1.0, 0.0)
 
 
+def _objectives(context):
+    """A context's ``(evaluate_batch, value_and_grad)`` optimizer pair."""
+    return batch_objective(context), value_and_grad_objective(context)
+
+
 class TestOptimizer:
     def test_p1_finds_good_parameters_on_ring(self):
         h = IsingHamiltonian.from_graph(ring_graph(6))
         context = make_context(h)
-        result = optimize_qaoa(
-            lambda g, b: evaluate_ideal(context, g, b), grid_resolution=10
-        )
+        result = optimize_qaoa(*_objectives(context), grid_resolution=10)
         c_min = brute_force_minimum(h).value
         # p=1 on a uniform ring provably reaches AR ~0.5; the optimizer
         # should get essentially all of it.
@@ -167,9 +172,7 @@ class TestOptimizer:
     def test_history_monotone_decreasing(self):
         h = IsingHamiltonian(3, quadratic={(0, 1): 1.0, (1, 2): 1.0})
         context = make_context(h)
-        result = optimize_qaoa(
-            lambda g, b: evaluate_ideal(context, g, b), grid_resolution=6
-        )
+        result = optimize_qaoa(*_objectives(context), grid_resolution=6)
         assert all(a >= b for a, b in zip(result.history, result.history[1:]))
 
     def test_p2_beats_or_matches_p1(self):
@@ -177,25 +180,22 @@ class TestOptimizer:
         ctx1 = make_context(h, num_layers=1)
         ctx2 = make_context(h, num_layers=2)
         r1 = optimize_qaoa(
-            lambda g, b: evaluate_ideal(ctx1, g, b), num_layers=1,
-            grid_resolution=8, seed=0,
+            *_objectives(ctx1), num_layers=1, grid_resolution=8, seed=0
         )
         r2 = optimize_qaoa(
-            lambda g, b: evaluate_ideal(ctx2, g, b), num_layers=2,
-            num_starts=6, seed=0,
+            *_objectives(ctx2), num_layers=2, num_starts=6, seed=0
         )
         assert r2.value <= r1.value + 1e-6
 
     def test_invalid_layers_rejected(self):
+        context = make_context(IsingHamiltonian(2, quadratic={(0, 1): 1.0}))
         with pytest.raises(QAOAError):
-            optimize_qaoa(lambda g, b: 0.0, num_layers=0)
+            optimize_qaoa(*_objectives(context), num_layers=0)
 
     def test_landscape_scan_shape_and_best(self):
         h = IsingHamiltonian(4, quadratic={(0, 1): 1.0, (2, 3): -1.0})
         context = make_context(h)
-        scan = landscape_scan(
-            lambda g, b: evaluate_ideal(context, g, b), resolution=12
-        )
+        scan = landscape_scan(batch_objective(context), resolution=12)
         assert scan.values.shape == (12, 12)
         g, b, v = scan.best
         assert v == pytest.approx(scan.values.min())
@@ -255,9 +255,7 @@ class TestNoiseShape:
             graph = barabasi_albert_graph(size, 1, seed=size)
             h = IsingHamiltonian.from_graph(graph, weights="random_pm1", seed=size)
             context = make_context(h, device=device)
-            result = optimize_qaoa(
-                lambda g, b: evaluate_ideal(context, g, b), grid_resolution=8
-            )
+            result = optimize_qaoa(*_objectives(context), grid_resolution=8)
             noisy = evaluate_noisy(context, result.gammas, result.betas)
             args.append(approximation_ratio_gap(result.value, noisy))
         assert args[0] < args[-1]
