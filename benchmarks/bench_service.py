@@ -12,7 +12,8 @@ front of the solve pipeline by default, and this bench holds both:
   through the service (queue hop, worker thread, control plumbing,
   bookkeeping) must cost at most **5%** over calling the solver
   directly. Measured with single solves interleaved (direct, service,
-  direct, ...) and compared by median, like ``bench_resilience``.
+  direct, ...) so machine drift is not billed to one mode, and compared
+  by median, which a heavy upper tail moves less than the minimum.
 
 The emitted ``coalescing_ratio`` (requests per training run, 64.0) and
 ``single_request_speedup`` (direct / serviced median, ~1.0) feed

@@ -15,10 +15,12 @@ backend=...)``) or set a session-wide default with
 :func:`set_default_backend` — the CLI's ``--backend`` flag does exactly
 that.
 
-Every backend accepts an optional :class:`FaultPolicy` that turns the
-historical fail-fast semantics into per-job fault containment: bounded
-seeded retries for transient errors, cooperative timeouts, pool-crash
-recovery (process backend), and a submission-level failure budget. See
+Every backend runs its jobs under a :class:`FaultPolicy`: bounded seeded
+retries for transient errors, cooperative timeouts, pool-crash recovery
+(process backend), and a submission-level failure budget. A backend built
+without one runs under :data:`FAIL_FAST` — no retries, budget zero — so
+the first failing job aborts the submission as a
+:class:`~repro.exceptions.JobError` naming it. See
 :mod:`repro.backend.policy` and :mod:`repro.faults`.
 """
 
@@ -29,19 +31,19 @@ from repro.backend.base import (
     ExecutionControl,
     JobResult,
     JobSpec,
+    attempt_with_policy,
     dependency_levels,
     execute_job,
     execute_job_with_policy,
     execute_jobs_serially,
     failed_job_result,
     inject_warm_start,
-    run_jobs,
     set_backoff_sleeper,
     train_job,
     shared_optimums,
     trained_params,
 )
-from repro.backend.policy import FaultPolicy, classify_error
+from repro.backend.policy import FAIL_FAST, FaultPolicy, classify_error
 from repro.backend.batched import BatchedStatevectorBackend
 from repro.backend.process_pool import ProcessPoolBackend
 from repro.backend.serial import SerialBackend
@@ -110,11 +112,13 @@ __all__ = [
     "BatchedStatevectorBackend",
     "ExecutionBackend",
     "ExecutionControl",
+    "FAIL_FAST",
     "FaultPolicy",
     "JobResult",
     "JobSpec",
     "ProcessPoolBackend",
     "SerialBackend",
+    "attempt_with_policy",
     "classify_error",
     "dependency_levels",
     "execute_job",
@@ -124,7 +128,6 @@ __all__ = [
     "get_default_backend",
     "inject_warm_start",
     "resolve_backend",
-    "run_jobs",
     "set_backoff_sleeper",
     "set_default_backend",
     "train_job",

@@ -22,29 +22,32 @@ sibling, with the sibling's shared optimums injected beforehand (see
 job's result, so the level schedule keeps backends deterministic and
 order-independent within each level.
 
-Fault contract: with a :class:`~repro.backend.policy.FaultPolicy`
-installed, a backend must never let one job's exception abort the
-submission — the failure is contained in that job's :class:`JobResult`
-(``run=None`` plus a chained :class:`~repro.exceptions.JobError`),
-transient errors are retried on the *same spec* (same seed, so a
-successful retry is bit-identical to an unfailed first attempt), and a
-failed job simply contributes nothing to ``params_by_id`` — its
+Fault contract: every backend runs every job under a
+:class:`~repro.backend.policy.FaultPolicy` — the one given, else
+:data:`~repro.backend.policy.FAIL_FAST`. A job's exception never escapes
+on its own: it is contained in that job's :class:`JobResult` (``run=None``
+plus a chained :class:`~repro.exceptions.JobError`), transient errors are
+retried on the *same spec* (same seed, so a successful retry is
+bit-identical to an unfailed first attempt) by :func:`attempt_with_policy`,
+and a failed job simply contributes nothing to ``params_by_id`` — its
 dependents degrade to fresh training exactly like any missing source.
-Without a policy, backends keep the historical fail-fast behaviour, but
-raise :class:`~repro.exceptions.JobError` (with the original exception
-chained) instead of the bare worker exception.
+Only the :class:`FailureBudget` aborts a submission; under ``FAIL_FAST``
+(budget zero) that happens at the first failure, as a ``JobError`` that
+names the job and chains its root cause.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 import traceback
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING
+from typing import TypeVar
 
+from repro.backend.policy import FAIL_FAST, FaultPolicy
 from repro.core.solver import (
     QAOARunResult,
     SolverConfig,
@@ -53,20 +56,13 @@ from repro.core.solver import (
     train_qaoa_instance,
 )
 from repro.devices.device import Device
-from repro.exceptions import (
-    BackendError,
-    DeadlineExceeded,
-    ExecutionCancelled,
-    JobError,
-    JobTimeout,
-)
+from repro.exceptions import DeadlineExceeded, ExecutionCancelled, JobError
 from repro.faults import active_fault_injection
 from repro.ising.hamiltonian import IsingHamiltonian
 from repro.qaoa.executor import NoiseProfile, make_context
 from repro.transpile.compiler import TranspiledCircuit
 
-if TYPE_CHECKING:
-    from repro.backend.policy import FaultPolicy
+T = TypeVar("T")
 
 
 @dataclass
@@ -338,60 +334,66 @@ def failed_job_result(
     )
 
 
-def execute_job_with_policy(
+def attempt_with_policy(
     spec: JobSpec,
-    policy: "FaultPolicy",
+    policy: FaultPolicy,
+    work: "Callable[[JobSpec, int], T]",
     control: "ExecutionControl | None" = None,
-) -> JobResult:
-    """Run one job under a fault policy: bounded seeded retries, cooperative
-    timeout, and failure containment.
+) -> "tuple[T | None, tuple[float, ...], BaseException | None]":
+    """Run ``work(spec, attempt)`` under a fault policy: bounded seeded
+    retries, cooperative timeout, and failure containment.
 
-    Never raises for a job-level error — the terminal failure comes back
-    as a :class:`JobResult` with ``run=None`` and the ``error`` record,
-    so the caller decides between degradation and the submission-level
-    failure budget. With a ``control``, retry checkpoints honour its
-    deadline/cancel state (those *do* raise — cancellation is not a job
-    failure) and backoff sleeps wake early on cancellation.
+    The one retry loop of every backend stage that runs a single job.
+    Returns ``(value, attempt_seconds, error)``: the successful attempt's
+    value and ``error=None``, or ``value=None`` and the terminal exception
+    once the policy stops retrying — a job-level error never raises. With
+    a ``control``, every retry passes its checkpoint (deadline/cancel *do*
+    raise — cancellation is not a job failure) and backoff sleeps wake
+    early on cancellation.
     """
     attempt_seconds: list[float] = []
-    for attempt in range(policy.max_attempts):
+    for attempt in itertools.count():
         if attempt > 0 and control is not None:
             control.checkpoint(f"retry of job {spec.job_id!r}")
         started = time.perf_counter()
         try:
-            result = execute_job(spec, attempt)
+            value = work(spec, attempt)
+            error = None
         except Exception as exc:  # noqa: BLE001 — isolation is the point
-            attempt_seconds.append(time.perf_counter() - started)
-            if (
-                policy.classify(exc) == "permanent"
-                or attempt + 1 >= policy.max_attempts
-            ):
-                return failed_job_result(spec.job_id, attempt_seconds, exc)
-            _backoff_sleep(policy, spec.job_id, attempt, control)
-            continue
-        attempt_seconds.append(result.elapsed_seconds)
-        if policy.exceeds_timeout(result.elapsed_seconds):
-            timeout_error = JobTimeout(
-                f"job {spec.job_id!r} attempt {attempt} took "
-                f"{result.elapsed_seconds:.3f}s "
-                f"(timeout {policy.job_timeout_seconds}s)"
-            )
-            if attempt + 1 >= policy.max_attempts:
-                return failed_job_result(
-                    spec.job_id, attempt_seconds, timeout_error
-                )
-            _backoff_sleep(policy, spec.job_id, attempt, control)
-            continue
-        return JobResult(
-            job_id=result.job_id,
-            run=result.run,
-            elapsed_seconds=float(sum(attempt_seconds)),
-            attempts=len(attempt_seconds),
-            attempt_seconds=tuple(attempt_seconds),
-        )
-    raise BackendError(
-        f"unreachable: job {spec.job_id!r} left the retry loop"
-    )  # pragma: no cover — the loop always returns
+            error = exc
+        elapsed = time.perf_counter() - started
+        attempt_seconds.append(elapsed)
+        if error is None:
+            error = policy.timeout_error(spec.job_id, attempt, elapsed)
+            if error is None:
+                return value, tuple(attempt_seconds), None
+        if not policy.should_retry(error, attempt):
+            return None, tuple(attempt_seconds), error
+        _backoff_sleep(policy, spec.job_id, attempt, control)
+
+
+def execute_job_with_policy(
+    spec: JobSpec,
+    policy: FaultPolicy,
+    control: "ExecutionControl | None" = None,
+) -> JobResult:
+    """Run one job start to finish under :func:`attempt_with_policy`.
+
+    A terminal failure comes back as the :func:`failed_job_result` record
+    (``run=None``), so the caller decides between degradation and the
+    submission-level :class:`FailureBudget`.
+    """
+    result, attempt_seconds, error = attempt_with_policy(
+        spec, policy, execute_job, control
+    )
+    if error is not None:
+        return failed_job_result(spec.job_id, attempt_seconds, error)
+    return replace(
+        result,
+        elapsed_seconds=float(sum(attempt_seconds)),
+        attempts=len(attempt_seconds),
+        attempt_seconds=attempt_seconds,
+    )
 
 
 #: The function that actually sleeps a backoff delay. Injectable so test
@@ -420,7 +422,7 @@ def set_backoff_sleeper(
 
 
 def _backoff_sleep(
-    policy: "FaultPolicy",
+    policy: FaultPolicy,
     job_id: str,
     attempt: int,
     control: "ExecutionControl | None" = None,
@@ -443,27 +445,35 @@ def _backoff_sleep(
 class FailureBudget:
     """Submission-level failure accounting shared by the three backends.
 
-    Counts terminally-failed jobs and raises
-    :class:`~repro.exceptions.BackendError` the moment the policy's
+    Counts terminally-failed jobs and raises the moment the policy's
     budget is exceeded — the submission is presumed beyond saving, and
-    failing loudly beats silently degrading most of a batch.
+    failing loudly beats silently degrading most of a batch. This is the
+    only place a job failure aborts a submission, so fail-fast
+    (:data:`~repro.backend.policy.FAIL_FAST`, budget zero) behaves the
+    same on every backend.
     """
 
-    def __init__(self, policy: "FaultPolicy | None", num_jobs: int) -> None:
-        self._allowed = (
-            policy.allowed_failures(num_jobs) if policy is not None else None
-        )
+    def __init__(self, policy: FaultPolicy, num_jobs: int) -> None:
+        self._allowed = policy.allowed_failures(num_jobs)
         self.failures = 0
 
     def record(self, result: JobResult) -> None:
-        """Count one terminal failure; raise when the budget is blown."""
+        """Count one terminal failure; raise when the budget is blown.
+
+        The raised :class:`~repro.exceptions.JobError` names the job that
+        blew the budget and chains that job's root cause.
+        """
         self.failures += 1
         if self._allowed is not None and self.failures > self._allowed:
-            raise BackendError(
+            error = result.error
+            raise JobError(
                 f"submission failure budget exhausted: {self.failures} "
                 f"job(s) failed (allowed {self._allowed}); last failure: "
-                f"{result.error}"
-            ) from result.error
+                f"{error}",
+                job_id=result.job_id,
+                attempts=result.attempts,
+                traceback_str=error.traceback_str,
+            ) from error.__cause__
 
 
 def dependency_levels(jobs: Sequence[JobSpec]) -> list[list[int]]:
@@ -526,7 +536,7 @@ def trained_params(result: JobResult) -> tuple:
 
 def execute_jobs_serially(
     jobs: Sequence[JobSpec],
-    policy: "FaultPolicy | None" = None,
+    policy: FaultPolicy = FAIL_FAST,
     control: "ExecutionControl | None" = None,
 ) -> list[JobResult]:
     """Run a submission in-process, honouring the dependency contract.
@@ -537,11 +547,11 @@ def execute_jobs_serially(
     pooled backends reuse it for their no-pool shortcut so the schedule
     lives in exactly one place.
 
-    Without a ``policy``, the first job exception aborts the submission
-    (wrapped as :class:`~repro.exceptions.JobError`). With one, failures
-    are contained per the module docstring's fault contract: retried,
-    then recorded in the job's own :class:`JobResult`; failed jobs add
-    nothing to ``params_by_id``, so dependents degrade to fresh training.
+    Failures are handled per the module docstring's fault contract:
+    retried, then recorded in the job's own :class:`JobResult` (failed
+    jobs add nothing to ``params_by_id``, so dependents degrade to fresh
+    training) until the ``policy``'s failure budget aborts the submission
+    — at the first failure under the default ``FAIL_FAST``.
 
     A ``control`` adds the cooperative run-control layer: a checkpoint
     before every job (deadline/cancel =>
@@ -565,22 +575,13 @@ def execute_jobs_serially(
             if control is not None:
                 control.checkpoint(f"job {jobs[index].job_id!r}")
             spec = inject_warm_start(jobs[index], snapshot)
-            if policy is None:
-                try:
-                    result = execute_job(spec)
-                except Exception as exc:
-                    raise JobError(
-                        f"job {spec.job_id!r} failed: {exc}",
-                        job_id=spec.job_id,
-                    ) from exc
-            else:
-                result = execute_job_with_policy(spec, policy, control)
-                if result.failed:
-                    budget.record(result)
+            result = execute_job_with_policy(spec, policy, control)
             results[index] = result
             if control is not None:
                 control.notify_job_done(result.job_id, result.failed)
-            if not result.failed:
+            if result.failed:
+                budget.record(result)
+            else:
                 params_by_id[result.job_id] = trained_params(result)
     return [results[index] for index in range(len(jobs))]
 
@@ -647,27 +648,9 @@ class ExecutionBackend(ABC):
 
         ``control`` is the optional cooperative run-control (deadline,
         cancellation, per-job progress — see :class:`ExecutionControl`);
-        backends honour it at job boundaries. Call sites that have no
-        control pass nothing, so pre-control ``run(jobs)`` overrides in
-        downstream code keep working until they meet a controlled caller.
+        backends honour it at job boundaries.
         """
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
-
-def run_jobs(
-    backend: "ExecutionBackend",
-    jobs: Sequence[JobSpec],
-    control: "ExecutionControl | None" = None,
-) -> list[JobResult]:
-    """Dispatch a submission, passing ``control`` only when one exists.
-
-    The compatibility shim for third-party backends written against the
-    one-argument ``run(jobs)`` signature: an uncontrolled call reaches
-    them unchanged, and only a caller that actually supplies an
-    :class:`ExecutionControl` requires the two-argument form.
-    """
-    if control is None:
-        return backend.run(jobs)
-    return backend.run(jobs, control)

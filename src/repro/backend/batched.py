@@ -18,6 +18,12 @@ Per-job RNG streams are untouched by the re-ordering, so results match
 elementwise kernels (and exactly in the common case where they
 reassociate the same — the serial finish path runs the same fused kernel
 one row at a time).
+
+The backend's :class:`~repro.backend.FaultPolicy` (``FAIL_FAST`` unless
+one is given) governs the training stage through the shared
+:func:`~repro.backend.base.attempt_with_policy` loop — the only stage
+where a failure is attributable to a single job; the stacked passes are
+shared.
 """
 
 from __future__ import annotations
@@ -27,15 +33,14 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
 from repro.backend.base import (
     ExecutionBackend,
     ExecutionControl,
     FailureBudget,
     JobResult,
     JobSpec,
-    _backoff_sleep,
+    TrainedInstance,
+    attempt_with_policy,
     dependency_levels,
     failed_job_result,
     finish_qaoa_instance,
@@ -44,54 +49,17 @@ from repro.backend.base import (
     shared_optimums,
     train_job,
 )
+from repro.backend.policy import FAIL_FAST, FaultPolicy
 from repro.cache.memo import cached_anneal_many
-from repro.exceptions import JobError, JobTimeout, SolverError
+from repro.exceptions import JobError, SolverError
 from repro.ising.annealer import AnnealResult
 from repro.sim.qaoa_kernel import qaoa_probabilities_fanout
 
-if TYPE_CHECKING:
-    from repro.backend.policy import FaultPolicy
 
-
-def _train_with_policy(
-    spec: JobSpec, policy: "FaultPolicy"
-) -> "tuple[object | None, tuple[float, ...], BaseException | None]":
-    """Train one job under the fault policy's retry/timeout rules.
-
-    The batched backend's policy covers the per-job *training* stage (the
-    only stage where a failure is attributable to a single job — the
-    stacked simulation passes are shared). Returns ``(instance,
-    attempt_seconds, terminal_exception)`` where a ``None`` instance means
-    the job exhausted its attempts.
-    """
-    secs: list[float] = []
-    for attempt in range(policy.max_attempts):
-        t0 = time.perf_counter()
-        try:
-            fire_fault_injection(spec, attempt)
-            instance = train_job(spec)
-        except Exception as exc:  # noqa: BLE001 — isolation is the point
-            secs.append(time.perf_counter() - t0)
-            if (
-                policy.classify(exc) == "permanent"
-                or attempt + 1 >= policy.max_attempts
-            ):
-                return None, tuple(secs), exc
-            _backoff_sleep(policy, spec.job_id, attempt)
-            continue
-        dt = time.perf_counter() - t0
-        secs.append(dt)
-        if policy.exceeds_timeout(dt):
-            timeout = JobTimeout(
-                f"job {spec.job_id!r} attempt {attempt} took {dt:.3f}s "
-                f"(timeout {policy.job_timeout_seconds}s)"
-            )
-            if attempt + 1 >= policy.max_attempts:
-                return None, tuple(secs), timeout
-            _backoff_sleep(policy, spec.job_id, attempt)
-            continue
-        return instance, tuple(secs), None
-    raise AssertionError("unreachable")  # pragma: no cover
+def _train_attempt(spec: JobSpec, attempt: int) -> TrainedInstance:
+    """One attempt of a job's training stage (fault injection first)."""
+    fire_fault_injection(spec, attempt)
+    return train_job(spec)
 
 
 class BatchedStatevectorBackend(ExecutionBackend):
@@ -100,13 +68,13 @@ class BatchedStatevectorBackend(ExecutionBackend):
     Args:
         max_batch_size: Largest circuit group simulated in one pass; bounds
             peak memory at ``max_batch_size * 2**n`` amplitudes.
-        fault_policy: Optional :class:`~repro.backend.FaultPolicy`; when
-            given, *training-stage* failures are retried/contained per the
-            fault contract (timeouts are measured on the training stage
-            only — the stacked simulation is shared across jobs, so its
-            wall-clock is not attributable to one of them). Failed jobs
-            drop out of the stacked passes and come back as failure
-            records.
+        fault_policy: :class:`~repro.backend.FaultPolicy` for retrying
+            and containing *training-stage* failures (timeouts are
+            measured on the training stage only — the stacked simulation
+            is shared across jobs, so its wall-clock is not attributable
+            to one of them); ``None`` installs
+            :data:`~repro.backend.FAIL_FAST`. Failed jobs drop out of the
+            stacked passes and come back as failure records.
     """
 
     name = "batched"
@@ -121,11 +89,11 @@ class BatchedStatevectorBackend(ExecutionBackend):
                 f"max_batch_size must be >= 1, got {max_batch_size}"
             )
         self._max_batch_size = max_batch_size
-        self._fault_policy = fault_policy
+        self._fault_policy = fault_policy or FAIL_FAST
 
     @property
-    def fault_policy(self) -> "FaultPolicy | None":
-        """The installed fault policy (``None`` = historical fail-fast)."""
+    def fault_policy(self) -> FaultPolicy:
+        """The installed fault policy."""
         return self._fault_policy
 
     def run(
@@ -140,9 +108,9 @@ class BatchedStatevectorBackend(ExecutionBackend):
         level); the stacked simulation and the finish stage are unaffected
         by the re-ordering because each job's RNG stream is its own. A
         ``control``'s deadline/cancel state is checked before every
-        training job and every stacked pass; per-job completion is
-        reported from the finish stage (the first point where a job's
-        outcome is final).
+        training job, every training retry and every stacked pass, and it
+        cuts retry backoff short; per-job completion is reported from the
+        finish stage (the first point where a job's outcome is final).
         """
         jobs = list(jobs)
         policy = self._fault_policy
@@ -160,27 +128,16 @@ class BatchedStatevectorBackend(ExecutionBackend):
                 if control is not None:
                     control.checkpoint(f"training {jobs[index].job_id!r}")
                 spec = inject_warm_start(jobs[index], snapshot)
-                if policy is not None:
-                    instance, secs, exc = _train_with_policy(spec, policy)
-                    attempt_secs[index] = secs
-                    elapsed[index] = float(sum(secs))
-                    if instance is None:
-                        failure = failed_job_result(spec.job_id, secs, exc)
-                        failures[index] = failure
-                        budget.record(failure)
-                        continue
-                else:
-                    t0 = time.perf_counter()
-                    try:
-                        fire_fault_injection(spec)
-                        instance = train_job(spec)
-                    except Exception as exc:
-                        raise JobError(
-                            f"job {spec.job_id!r} failed: {exc}",
-                            job_id=spec.job_id,
-                        ) from exc
-                    elapsed[index] = time.perf_counter() - t0
-                    attempt_secs[index] = (elapsed[index],)
+                instance, secs, exc = attempt_with_policy(
+                    spec, policy, _train_attempt, control
+                )
+                attempt_secs[index] = secs
+                elapsed[index] = float(sum(secs))
+                if exc is not None:
+                    failure = failed_job_result(spec.job_id, secs, exc)
+                    failures[index] = failure
+                    budget.record(failure)
+                    continue
                 trained[index] = instance
                 params_by_id[spec.job_id] = shared_optimums(
                     instance.optimization
@@ -291,11 +248,6 @@ class BatchedStatevectorBackend(ExecutionBackend):
         return results
 
     def __repr__(self) -> str:
-        if self._fault_policy is None:
-            return (
-                f"BatchedStatevectorBackend("
-                f"max_batch_size={self._max_batch_size})"
-            )
         return (
             f"BatchedStatevectorBackend("
             f"max_batch_size={self._max_batch_size}, "

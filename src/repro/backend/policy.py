@@ -21,11 +21,11 @@ pin against the fault-free run (see ``tests/test_faults.py``). Backoff
 delays are derived from ``(backoff_seed, job_id, attempt)``, never from
 wall-clock or global RNG state, so schedules replay exactly.
 
-With no policy installed (the default everywhere), backends keep today's
-fail-fast behaviour bit-identically — the only change is that raised
-errors arrive wrapped as :class:`~repro.exceptions.JobError` /
-:class:`~repro.exceptions.BackendError` with the original exception
-chained, so callers can attribute them.
+Fail-fast is one more policy value, not a separate code path: a backend
+built without a policy runs under :data:`FAIL_FAST` (no retries, a
+failure budget of zero), so the first failing job aborts the submission
+as a :class:`~repro.exceptions.JobError` that names the job and chains
+its root cause.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from repro.exceptions import (
     FreezeError,
     GraphError,
     HamiltonianError,
+    JobTimeout,
     QAOAError,
     SimulationError,
     SolverError,
@@ -107,8 +108,9 @@ class FaultPolicy:
             permanently: an ``int`` is an absolute count, a ``float`` in
             ``[0, 1]`` a fraction of the submission, ``None`` is
             unlimited (every failure degrades gracefully). Exceeding the
-            budget raises :class:`~repro.exceptions.BackendError` — the
-            batch is presumed beyond saving.
+            budget raises a :class:`~repro.exceptions.JobError` (a
+            :class:`~repro.exceptions.BackendError`) naming the job that
+            blew it — the batch is presumed beyond saving.
     """
 
     max_retries: int = 2
@@ -156,11 +158,26 @@ class FaultPolicy:
         """Transient-vs-permanent verdict for one attempt's exception."""
         return classify_error(exc)
 
-    def exceeds_timeout(self, elapsed_seconds: float) -> bool:
-        """Whether one attempt's wall-clock busts the per-job timeout."""
+    def should_retry(self, exc: BaseException, attempt: int) -> bool:
+        """Whether attempt ``attempt``'s failure ``exc`` earns another try."""
         return (
-            self.job_timeout_seconds is not None
-            and elapsed_seconds > self.job_timeout_seconds
+            self.classify(exc) != "permanent"
+            and attempt + 1 < self.max_attempts
+        )
+
+    def timeout_error(
+        self, job_id: str, attempt: int, elapsed_seconds: float
+    ) -> "JobTimeout | None":
+        """The :class:`~repro.exceptions.JobTimeout` of an attempt that
+        busted the per-job limit (``None`` when it finished in time)."""
+        if (
+            self.job_timeout_seconds is None
+            or elapsed_seconds <= self.job_timeout_seconds
+        ):
+            return None
+        return JobTimeout(
+            f"job {job_id!r} attempt {attempt} took {elapsed_seconds:.3f}s "
+            f"(timeout {self.job_timeout_seconds}s)"
         )
 
     def backoff_for(self, job_id: str, attempt: int) -> float:
@@ -186,4 +203,9 @@ class FaultPolicy:
         return int(self.failure_budget)
 
 
-__all__ = ["FaultPolicy", "PERMANENT_ERRORS", "classify_error"]
+#: The policy of a backend built without one: no retries and a failure
+#: budget of zero, so the first failing job aborts the submission.
+FAIL_FAST = FaultPolicy(max_retries=0, failure_budget=0)
+
+
+__all__ = ["FAIL_FAST", "FaultPolicy", "PERMANENT_ERRORS", "classify_error"]

@@ -6,24 +6,27 @@ seed (spawned via ``utils.rng.spawn_seeds`` at prepare time), scheduling
 order is irrelevant: results are bit-identical to ``SerialBackend`` for the
 same solver seed, whatever the worker count.
 
-With a :class:`~repro.backend.FaultPolicy` installed, this backend also
-survives the pool itself dying (``BrokenProcessPool`` — a worker OOM-killed,
-segfaulted, or hard-exited): completed results of the current level are
-kept, the pool is respawned, and only the jobs that were in flight when it
-died are re-submitted, each charged one (transient) retry. Because retries
-re-run the *same spec* — same child seed — and ``params_by_id`` entries of
-completed sources survive the respawn, a recovered run is bit-identical to
-one that never crashed.
+Failures follow the backend's :class:`~repro.backend.FaultPolicy`
+(``FAIL_FAST`` unless one is given) through one futures loop, which also
+survives the pool itself dying (``BrokenProcessPool`` — a worker
+OOM-killed, segfaulted, or hard-exited): completed results of the current
+level are kept, the pool is respawned, and only the jobs that were in
+flight when it died are re-submitted, each charged one (transient) retry.
+Because retries re-run the *same spec* — same child seed — and
+``params_by_id`` entries of completed sources survive the respawn, a
+recovered run is bit-identical to one that never crashed. Under
+``FAIL_FAST`` the charge has no retry to spend, so a dead pool raises a
+:class:`~repro.exceptions.JobError` naming an in-flight job.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from dataclasses import replace
 
 from repro.backend.base import (
     ExecutionBackend,
@@ -39,10 +42,8 @@ from repro.backend.base import (
     inject_warm_start,
     trained_params,
 )
-from repro.exceptions import BackendError, JobError, JobTimeout, SolverError
-
-if TYPE_CHECKING:
-    from repro.backend.policy import FaultPolicy
+from repro.backend.policy import FAIL_FAST, FaultPolicy
+from repro.exceptions import BackendError, SolverError
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -50,14 +51,9 @@ class ProcessPoolBackend(ExecutionBackend):
 
     Args:
         max_workers: Pool size; defaults to the machine's CPU count.
-        chunksize: Jobs handed to a worker per dispatch; raise it for many
-            small jobs to amortise pickling overhead. Only used on the
-            policy-free fast path — the resilient path needs one future
-            per job to attribute failures.
-        fault_policy: Optional :class:`~repro.backend.FaultPolicy`; when
-            given, job failures are retried/contained per the fault
-            contract and a dead pool is respawned instead of aborting the
-            submission.
+        fault_policy: :class:`~repro.backend.FaultPolicy` for retrying and
+            containing job failures and respawning a dead pool; ``None``
+            installs :data:`~repro.backend.FAIL_FAST`.
     """
 
     name = "process"
@@ -65,16 +61,12 @@ class ProcessPoolBackend(ExecutionBackend):
     def __init__(
         self,
         max_workers: "int | None" = None,
-        chunksize: int = 1,
         fault_policy: "FaultPolicy | None" = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise SolverError(f"max_workers must be >= 1, got {max_workers}")
-        if chunksize < 1:
-            raise SolverError(f"chunksize must be >= 1, got {chunksize}")
         self._max_workers = max_workers or os.cpu_count() or 1
-        self._chunksize = chunksize
-        self._fault_policy = fault_policy
+        self._fault_policy = fault_policy or FAIL_FAST
 
     @property
     def max_workers(self) -> int:
@@ -82,8 +74,8 @@ class ProcessPoolBackend(ExecutionBackend):
         return self._max_workers
 
     @property
-    def fault_policy(self) -> "FaultPolicy | None":
-        """The installed fault policy (``None`` = historical fail-fast)."""
+    def fault_policy(self) -> FaultPolicy:
+        """The installed fault policy."""
         return self._fault_policy
 
     def run(
@@ -96,91 +88,25 @@ class ProcessPoolBackend(ExecutionBackend):
         Dependent jobs (warm-start seeds, dedup adoptions) are submitted
         level by level after their source jobs complete, with the trained
         parameters injected into the dependent specs before pickling —
-        workers never need to see another job's result. A ``control``'s
-        deadline/cancel state is honoured at submission boundaries (before
-        each level and each retry round — in-flight futures still finish).
+        workers never need to see another job's result. Each level runs
+        as submit-all / collect-all rounds over its still-pending jobs: a
+        job exception consumes one attempt (classified transient or
+        permanent); a ``BrokenProcessPool`` keeps every result completed
+        before the crash, respawns the pool, and charges one transient
+        attempt to every job that was unfinished — jobs with attempts left
+        simply ride the next round on the fresh pool. A ``control``'s
+        deadline/cancel state is honoured before each round (in-flight
+        futures still finish) and during retry backoff.
         """
         jobs = list(jobs)
         if not jobs:
             return []
+        policy = self._fault_policy
         # A single worker (or a single job) gains nothing from a pool;
         # skip the fork + pickle round-trip entirely.
         if self._max_workers == 1 or len(jobs) == 1:
-            return execute_jobs_serially(
-                jobs, policy=self._fault_policy, control=control
-            )
+            return execute_jobs_serially(jobs, policy, control)
         workers = min(self._max_workers, len(jobs))
-        if self._fault_policy is None:
-            return self._run_fail_fast(jobs, workers, control)
-        return self._run_resilient(jobs, workers, self._fault_policy, control)
-
-    def _run_fail_fast(
-        self,
-        jobs: "list[JobSpec]",
-        workers: int,
-        control: "ExecutionControl | None" = None,
-    ) -> list[JobResult]:
-        """The historical semantics: first failure aborts the submission.
-
-        The only change from the pre-policy behaviour is attribution: a
-        worker exception surfaces as :class:`~repro.exceptions.JobError`
-        naming the failing job (original exception chained), and a dead
-        pool as :class:`~repro.exceptions.BackendError`.
-        """
-        results: dict[int, JobResult] = {}
-        params_by_id: dict = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for level in dependency_levels(jobs):
-                if control is not None:
-                    control.checkpoint("level submission")
-                level_specs = [
-                    inject_warm_start(jobs[i], params_by_id) for i in level
-                ]
-                # pool.map yields results (and re-raises exceptions) in
-                # submission order, so the spec walking alongside the
-                # iterator is the one that failed.
-                iterator = pool.map(
-                    execute_job, level_specs, chunksize=self._chunksize
-                )
-                for index, spec in zip(level, level_specs):
-                    try:
-                        result = next(iterator)
-                    except BrokenProcessPool as exc:
-                        raise BackendError(
-                            f"worker pool died while executing job "
-                            f"{spec.job_id!r} (install a FaultPolicy to "
-                            f"recover instead of aborting)"
-                        ) from exc
-                    except JobError:
-                        raise
-                    except Exception as exc:
-                        raise JobError(
-                            f"job {spec.job_id!r} failed: {exc}",
-                            job_id=spec.job_id,
-                        ) from exc
-                    results[index] = result
-                    if control is not None:
-                        control.notify_job_done(result.job_id, False)
-                    params_by_id[result.job_id] = trained_params(result)
-        return [results[index] for index in range(len(jobs))]
-
-    def _run_resilient(
-        self,
-        jobs: "list[JobSpec]",
-        workers: int,
-        policy: "FaultPolicy",
-        control: "ExecutionControl | None" = None,
-    ) -> list[JobResult]:
-        """Policy-governed execution: per-job containment + pool respawn.
-
-        Each dependency level runs as submit-all / collect-all rounds over
-        the level's still-pending jobs. A job exception consumes one
-        attempt (classified transient or permanent); a
-        ``BrokenProcessPool`` keeps every result completed before the
-        crash, respawns the pool, and charges one transient attempt to
-        every job that was unfinished — jobs with attempts left simply
-        ride the next round on the fresh pool.
-        """
         results: dict[int, JobResult] = {}
         params_by_id: dict = {}
         budget = FailureBudget(policy, len(jobs))
@@ -201,21 +127,20 @@ class ProcessPoolBackend(ExecutionBackend):
                     for i in sorted(pending):
                         attempt, _ = pending[i]
                         spec = inject_warm_start(jobs[i], snapshot)
-                        submitted.append(
-                            (
-                                i,
-                                spec,
-                                time.perf_counter(),
-                                pool.submit(execute_job, spec, attempt),
-                            )
-                        )
-                    crashed = False
+                        try:
+                            future = pool.submit(execute_job, spec, attempt)
+                        except BrokenProcessPool as exc:
+                            # A worker died while this round was still
+                            # being submitted: the job is as unfinished
+                            # as one in flight, and is charged the same.
+                            future = Future()
+                            future.set_exception(exc)
+                        submitted.append((i, spec, time.perf_counter(), future))
                     unfinished = []
                     for i, spec, submit_time, future in submitted:
                         try:
                             result = future.result()
                         except (BrokenProcessPool, CancelledError):
-                            crashed = True
                             unfinished.append((i, spec, submit_time))
                             continue
                         except Exception as exc:
@@ -228,15 +153,14 @@ class ProcessPoolBackend(ExecutionBackend):
                                 pending,
                                 results,
                                 budget,
+                                control,
                             )
                             continue
                         attempt, secs = pending[i]
-                        if policy.exceeds_timeout(result.elapsed_seconds):
-                            timeout = JobTimeout(
-                                f"job {spec.job_id!r} attempt {attempt} "
-                                f"took {result.elapsed_seconds:.3f}s "
-                                f"(timeout {policy.job_timeout_seconds}s)"
-                            )
+                        timeout = policy.timeout_error(
+                            spec.job_id, attempt, result.elapsed_seconds
+                        )
+                        if timeout is not None:
                             self._consume_attempt(
                                 i,
                                 spec,
@@ -246,13 +170,12 @@ class ProcessPoolBackend(ExecutionBackend):
                                 pending,
                                 results,
                                 budget,
-                                control=control,
+                                control,
                             )
                             continue
                         secs = secs + (result.elapsed_seconds,)
-                        results[i] = JobResult(
-                            job_id=result.job_id,
-                            run=result.run,
+                        results[i] = replace(
+                            result,
                             elapsed_seconds=float(sum(secs)),
                             attempts=len(secs),
                             attempt_seconds=secs,
@@ -261,7 +184,7 @@ class ProcessPoolBackend(ExecutionBackend):
                         if control is not None:
                             control.notify_job_done(result.job_id, False)
                         params_by_id[result.job_id] = trained_params(result)
-                    if crashed:
+                    if unfinished:
                         # Completed results above are already banked; only
                         # the in-flight jobs re-run, on a fresh pool.
                         pool.shutdown(wait=False, cancel_futures=True)
@@ -283,8 +206,8 @@ class ProcessPoolBackend(ExecutionBackend):
                                 pending,
                                 results,
                                 budget,
+                                control,
                                 backoff=False,
-                                control=control,
                             )
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
@@ -296,23 +219,23 @@ class ProcessPoolBackend(ExecutionBackend):
         spec: JobSpec,
         exc: BaseException,
         elapsed: float,
-        policy: "FaultPolicy",
+        policy: FaultPolicy,
         pending: "dict[int, tuple[int, tuple[float, ...]]]",
         results: "dict[int, JobResult]",
         budget: FailureBudget,
+        control: "ExecutionControl | None",
         backoff: bool = True,
-        control: "ExecutionControl | None" = None,
     ) -> None:
         """Charge one failed attempt to a pending job.
 
         Either leaves the job in ``pending`` with the attempt counter
         bumped (transient, attempts left) or moves its terminal failure
-        record into ``results`` and debits the submission budget.
+        record into ``results``, reports it to ``control``, and debits the
+        submission budget.
         """
         attempt, secs = pending[index]
         secs = secs + (elapsed,)
-        permanent = policy.classify(exc) == "permanent"
-        if permanent or attempt + 1 >= policy.max_attempts:
+        if not policy.should_retry(exc, attempt):
             failure = failed_job_result(spec.job_id, secs, exc)
             results[index] = failure
             del pending[index]
@@ -325,8 +248,6 @@ class ProcessPoolBackend(ExecutionBackend):
         pending[index] = (attempt + 1, secs)
 
     def __repr__(self) -> str:
-        if self._fault_policy is None:
-            return f"ProcessPoolBackend(max_workers={self._max_workers})"
         return (
             f"ProcessPoolBackend(max_workers={self._max_workers}, "
             f"fault_policy={self._fault_policy!r})"

@@ -2,13 +2,14 @@
 
 This is the reference semantics every other backend is measured against —
 ``ProcessPoolBackend`` must match it bit-for-bit, ``BatchedStatevectorBackend``
-up to floating-point reassociation in the stacked simulator.
+up to floating-point reassociation in the stacked simulator. Every job runs
+through :func:`~repro.backend.base.execute_jobs_serially` under the
+backend's fault policy (``FAIL_FAST`` unless one is given).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 from repro.backend.base import (
     ExecutionBackend,
@@ -17,28 +18,27 @@ from repro.backend.base import (
     JobSpec,
     execute_jobs_serially,
 )
-
-if TYPE_CHECKING:
-    from repro.backend.policy import FaultPolicy
+from repro.backend.policy import FAIL_FAST, FaultPolicy
 
 
 class SerialBackend(ExecutionBackend):
     """Execute jobs sequentially in the calling process.
 
     Args:
-        fault_policy: Optional :class:`~repro.backend.FaultPolicy`; when
-            given, job failures are retried/contained per the fault
-            contract instead of aborting the submission.
+        fault_policy: :class:`~repro.backend.FaultPolicy` for retrying and
+            containing job failures; ``None`` installs
+            :data:`~repro.backend.FAIL_FAST` (the first failing job aborts
+            the submission as a :class:`~repro.exceptions.JobError`).
     """
 
     name = "serial"
 
     def __init__(self, fault_policy: "FaultPolicy | None" = None) -> None:
-        self._fault_policy = fault_policy
+        self._fault_policy = fault_policy or FAIL_FAST
 
     @property
-    def fault_policy(self) -> "FaultPolicy | None":
-        """The installed fault policy (``None`` = historical fail-fast)."""
+    def fault_policy(self) -> FaultPolicy:
+        """The installed fault policy."""
         return self._fault_policy
 
     def run(
@@ -47,11 +47,7 @@ class SerialBackend(ExecutionBackend):
         control: "ExecutionControl | None" = None,
     ) -> list[JobResult]:
         """Execute every job, warm-start sources before their dependents."""
-        return execute_jobs_serially(
-            jobs, policy=self._fault_policy, control=control
-        )
+        return execute_jobs_serially(jobs, self._fault_policy, control)
 
     def __repr__(self) -> str:
-        if self._fault_policy is None:
-            return "SerialBackend()"
         return f"SerialBackend(fault_policy={self._fault_policy!r})"

@@ -101,7 +101,7 @@ def solve_many(
     Returns:
         One :class:`FrozenQubitsResult` per problem, in input order.
     """
-    from repro.backend import resolve_backend, run_jobs
+    from repro.backend import resolve_backend
     from repro.cache import resolve_cache
 
     solve_cache = resolve_cache(cache)
@@ -167,7 +167,7 @@ def solve_many(
                     job.params_from = trainer
                     job.warm_start_from = None
 
-    all_results = run_jobs(resolve_backend(backend), all_jobs, control)
+    all_results = resolve_backend(backend).run(all_jobs, control)
 
     results = []
     cursor = 0

@@ -92,7 +92,6 @@ if TYPE_CHECKING:
     from repro.planning.budget import ExecutionBudget
     from repro.planning.planner import FreezePlan
     from repro.planning.pruning import AssignmentRank
-    from repro.recursive.tree import RecursiveConfig
 
 
 @dataclass(frozen=True)
@@ -121,14 +120,6 @@ class SolverConfig:
             pinned bit-identically behind the flag. Proxy trainings are
             canonical-frame and cached/deduplicated across equivalent
             siblings, sweeps, and mirror pairs.
-        recursive: Route :meth:`FrozenQubitsSolver.solve` through the
-            recursive multi-level freeze tree
-            (:func:`repro.recursive.solve_recursive`) instead of the
-            single-level fan-out — freeze, split components, freeze again
-            until every sub-space fits the budget. Scales to instances two
-            to three orders of magnitude beyond the single-level path.
-            Default ``False`` pins today's single-level behaviour
-            bit-identically.
         proxy_ratio: Fraction of edges and nodes the sparsifier keeps, in
             (0, 1] (MST-connectivity always guarded). Smaller = cheaper
             proxy, coarser landscape. The 0.7 default keeps the
@@ -154,7 +145,6 @@ class SolverConfig:
     proxy_training: bool = False
     proxy_ratio: float = 0.7
     proxy_refine_maxiter: int = 30
-    recursive: bool = False
     fault_injection: "object | None" = None
 
 
@@ -859,10 +849,6 @@ class FrozenQubitsSolver:
             session default cache instead (install one with
             :func:`repro.cache.set_default_cache`); caching there is a
             speed concern only, results are identical either way.
-        recursive_config: Planner knobs for the recursive path
-            (:class:`~repro.recursive.RecursiveConfig`); only consulted
-            when ``config.recursive`` routes :meth:`solve` through
-            :func:`repro.recursive.solve_recursive`.
     """
 
     def __init__(
@@ -876,7 +862,6 @@ class FrozenQubitsSolver:
         budget: "ExecutionBudget | None" = None,
         warm_start: "bool | None" = None,
         cache: "SolveCache | bool | None" = None,
-        recursive_config: "RecursiveConfig | None" = None,
     ) -> None:
         from repro.planning.session import get_default_planning
 
@@ -896,7 +881,6 @@ class FrozenQubitsSolver:
         self._warm_start = bool(warm_start)
         self._adaptive = plan is None and defaults.adaptive
         self._cache = resolve_cache(cache)
-        self._recursive_config = recursive_config
 
     @property
     def cache(self) -> "SolveCache | None":
@@ -1290,8 +1274,9 @@ class FrozenQubitsSolver:
         # Jobs that exhausted their FaultPolicy retries come back as
         # failure records (run=None); their cells are covered classically
         # below, exactly like budget-pruned cells, so the returned
-        # outcomes still partition the full state-space.
-        failed: "list[tuple[SubProblem, object, object]]" = []
+        # outcomes still partition the full state-space. Entries are
+        # (cell, seed, probe rank, error), the shape of the fallback pass.
+        failed: "list[tuple[SubProblem, object, None, object]]" = []
         for sp, job, job_result in zip(
             prepared.executed, prepared.jobs, job_results
         ):
@@ -1302,7 +1287,7 @@ class FrozenQubitsSolver:
                 )
             run = job_result.run
             if run is None:
-                failed.append((sp, job, job_result))
+                failed.append((sp, job.seed, None, job_result.error))
                 continue
             decoded = self._decode_counts(sp, run.counts)
             full_spins = decode_spins(sp.spec, sp.assignment, run.best_spins)
@@ -1356,19 +1341,26 @@ class FrozenQubitsSolver:
                     proxy_trained,
                     payload=params_payload(proxy_trained),
                 )
-        # Budget-pruned cells: one batched fallback pass covers all of
-        # them (siblings share a coupling graph, so the engine sweeps the
-        # whole set as a single cells x replicas array program).
+        # Budget-pruned cells and failed jobs share one batched fallback
+        # pass (siblings share a coupling graph, so the engine sweeps the
+        # whole set as a single cells x replicas array program). Each cell
+        # anneals on its own child seed, so a degraded solve still reports
+        # a valid (if weaker) assignment for every partition cell and stays
+        # deterministic for a fixed fault plan. A pruned cell keeps its
+        # prepare-time probe when that beats the anneal.
+        covered = [
+            (entry.subproblem, entry.seed, entry.rank, None)
+            for entry in prepared.skipped
+        ] + failed
         fallback_anneals = cached_anneal_many(
-            [entry.subproblem.hamiltonian for entry in prepared.skipped],
-            seeds=[entry.seed for entry in prepared.skipped],
+            [sp.hamiltonian for sp, _, _, _ in covered],
+            seeds=[seed for _, seed, _, _ in covered],
             cache=self._cache,
         )
-        for entry, anneal in zip(prepared.skipped, fallback_anneals):
-            sp = entry.subproblem
+        for (sp, _, rank, error), anneal in zip(covered, fallback_anneals):
             sub_spins, value = anneal.spins, anneal.value
-            if entry.rank is not None and entry.rank.probe_value < value:
-                sub_spins, value = entry.rank.probe_spins, entry.rank.probe_value
+            if rank is not None and rank.probe_value < value:
+                sub_spins, value = rank.probe_spins, rank.probe_value
             full_spins = decode_spins(sp.spec, sp.assignment, sub_spins)
             outcomes[sp.index] = SubProblemOutcome(
                 subproblem=sp,
@@ -1378,33 +1370,10 @@ class FrozenQubitsSolver:
                 best_value=hamiltonian.evaluate(full_spins),
                 ev_ideal=float("nan"),
                 ev_noisy=float("nan"),
-                source="classical",
+                source="classical" if error is None else "failed",
                 fallback=anneal,
+                error=error,
             )
-        # Failed jobs degrade the same way: an annealing fallback seeded
-        # with the job's own child seed covers the cell, so a degraded
-        # solve still reports a valid (if weaker) assignment for every
-        # partition cell and stays deterministic for a fixed fault plan.
-        if failed:
-            failed_anneals = cached_anneal_many(
-                [sp.hamiltonian for sp, _, _ in failed],
-                seeds=[job.seed for _, job, _ in failed],
-                cache=self._cache,
-            )
-            for (sp, job, job_result), anneal in zip(failed, failed_anneals):
-                full_spins = decode_spins(sp.spec, sp.assignment, anneal.spins)
-                outcomes[sp.index] = SubProblemOutcome(
-                    subproblem=sp,
-                    run=None,
-                    decoded_counts=None,
-                    best_spins=full_spins,
-                    best_value=hamiltonian.evaluate(full_spins),
-                    ev_ideal=float("nan"),
-                    ev_noisy=float("nan"),
-                    source="failed",
-                    fallback=anneal,
-                    error=job_result.error,
-                )
         for sp in prepared.subproblems:
             if not sp.is_mirror:
                 continue
@@ -1510,31 +1479,15 @@ class FrozenQubitsSolver:
                 running job is never interrupted mid-flight.
 
         Returns:
-            A :class:`FrozenQubitsResult` — or, when ``config.recursive``
-            is set, a :class:`~repro.recursive.RecursiveResult` from the
-            multi-level freeze tree (same ``best_spins`` / ``best_value``
-            / ``ev_*`` surface, plus the executed tree).
+            The decoded :class:`FrozenQubitsResult`.
         """
-        from repro.backend import resolve_backend, run_jobs
+        from repro.backend import resolve_backend
 
-        if self._config.recursive:
-            from repro.recursive.solve import solve_recursive
-
-            return solve_recursive(
-                hamiltonian,
-                device=device,
-                backend=backend,
-                config=self._config,
-                recursive_config=self._recursive_config,
-                budget=self._budget,
-                seed=self._seed,
-                cache=self._cache if self._cache is not None else False,
-            )
         before = (
             self._cache.stats_snapshot() if self._cache is not None else None
         )
         prepared = self.prepare_jobs(hamiltonian, device)
-        results = run_jobs(resolve_backend(backend), prepared.jobs, control)
+        results = resolve_backend(backend).run(prepared.jobs, control)
         result = self.finalize(prepared, results)
         if self._cache is not None:
             from repro.cache.store import stats_delta

@@ -15,9 +15,7 @@ whole tree, canonical-key dedup across tree positions — and composes the
 leaves level by level into a full-instance assignment whose outcome
 mixture partitions the original state-space exactly.
 
-Enable it on the ordinary solver with
-``FrozenQubitsSolver(config=SolverConfig(recursive=True))``, call
-:func:`solve_recursive` directly, or run the CLI::
+Call :func:`solve_recursive` directly, or run the CLI::
 
     python -m repro.recursive --nodes 1000 --seed 7 --max-circuits 32
 """

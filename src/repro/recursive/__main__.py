@@ -88,7 +88,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.max_circuits is not None
         else None
     )
-    config = SolverConfig(shots=args.shots, recursive=True)
+    config = SolverConfig(shots=args.shots)
     recursive_config = RecursiveConfig(
         max_leaf_qubits=args.max_leaf_qubits,
         max_frozen_per_level=args.max_frozen_per_level,

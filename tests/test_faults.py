@@ -5,8 +5,8 @@ seed), so a recovered run is bit-identical to one that never failed; a
 dead worker pool is respawned with completed results preserved; jobs that
 exhaust their retries degrade to classical coverage with honest
 provenance instead of aborting the solve; and — with no policy installed
-— today's fail-fast behaviour is pinned bit-identically (failures just
-arrive wrapped as JobError/BackendError with the cause chained).
+— every backend fails fast through the same path (FAIL_FAST: the first
+failure arrives as a JobError naming the job, with the cause chained).
 
 Every fault here is injected deterministically through
 :mod:`repro.faults`; the magic fault seeds were chosen (and are pinned by
@@ -17,13 +17,20 @@ budget.
 import math
 import os
 import pickle
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import process_pool
 from repro.backend import (
+    FAIL_FAST,
     BatchedStatevectorBackend,
+    ExecutionControl,
     FaultPolicy,
     JobSpec,
     ProcessPoolBackend,
@@ -38,6 +45,7 @@ from repro.core import FrozenQubitsSolver, SolverConfig
 from repro.devices import get_backend
 from repro.exceptions import (
     BackendError,
+    ExecutionCancelled,
     GraphError,
     JobError,
     JobTimeout,
@@ -456,6 +464,69 @@ class TestFailureBudget:
 
 
 # ----------------------------------------------------------------------
+# One fault contract on every backend
+# ----------------------------------------------------------------------
+BACKENDS = {
+    "serial": lambda policy: SerialBackend(fault_policy=policy),
+    "process": lambda policy: ProcessPoolBackend(
+        max_workers=2, fault_policy=policy
+    ),
+    "batched": lambda policy: BatchedStatevectorBackend(fault_policy=policy),
+}
+
+
+def _fan_out(**plan):
+    """Four sibling specs sp0..sp3 under one fault plan."""
+    config = replace(FAST, fault_injection=FaultInjection(**plan))
+    return [_spec(f"sp{i}", seed=3 + i, config=config) for i in range(4)]
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+class TestOneFaultContract:
+    def test_no_policy_means_fail_fast(self, name):
+        backend = BACKENDS[name](None)
+        assert backend.fault_policy == FAIL_FAST
+        with pytest.raises(JobError) as excinfo:
+            backend.run(_fan_out(fail_jobs={"sp1": None}))
+        assert excinfo.value.job_id == "sp1"
+        assert isinstance(excinfo.value.__cause__, InjectedFault)
+
+    def test_every_job_is_reported_once(self, name):
+        seen = []
+        control = ExecutionControl(
+            on_job_done=lambda job_id, failed: seen.append((job_id, failed))
+        )
+        backend = BACKENDS[name](FaultPolicy(max_retries=0))
+        results = backend.run(_fan_out(fail_jobs={"sp1": None}), control)
+        assert [r.failed for r in results] == [False, True, False, False]
+        assert sorted(seen) == [
+            ("sp0", False),
+            ("sp1", True),
+            ("sp2", False),
+            ("sp3", False),
+        ]
+
+    def test_cancel_cuts_retry_backoff_short(self, name):
+        # sp0 fails on every attempt; its backoff schedule is ~1 s, 2 s,
+        # 3.4 s. A cancel 0.2 s in must end the submission, not sit it out.
+        policy = FaultPolicy(max_retries=3, backoff_seconds=1.0)
+        assert policy.backoff_for("sp0", 0) > 0.5
+        control = ExecutionControl(cancel=threading.Event())
+        timer = threading.Timer(0.2, control.cancel.set)
+        backend = BACKENDS[name](policy)
+        started = time.monotonic()
+        timer.start()
+        try:
+            with pytest.raises(ExecutionCancelled):
+                backend.run(_fan_out(fail_jobs={"sp0": 99}), control)
+        finally:
+            timer.cancel()
+            timer.join(5.0)
+        assert time.monotonic() - started < 1.0
+        assert not timer.is_alive()
+
+
+# ----------------------------------------------------------------------
 # Solver-level degradation
 # ----------------------------------------------------------------------
 class TestSolverDegradation:
@@ -609,6 +680,34 @@ class TestProcessPoolResilience:
         with pytest.raises(JobError) as excinfo:
             solver.solve(problem, backend=ProcessPoolBackend(max_workers=2))
         assert excinfo.value.job_id == "sp1"
+
+    def test_pool_dying_mid_submission_is_a_crash(self, monkeypatch):
+        # A worker can die while later jobs of its round are still being
+        # submitted; submit() then raises BrokenProcessPool itself.
+        submits = []
+
+        class BreaksOnSecondSubmit(process_pool.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(args)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("a child process terminated")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(
+            process_pool, "ProcessPoolExecutor", BreaksOnSecondSubmit
+        )
+        jobs = _fan_out()
+        results = ProcessPoolBackend(
+            max_workers=2, fault_policy=FaultPolicy(max_retries=1)
+        ).run(jobs)
+        reference = execute_jobs_serially(jobs)
+        assert [r.attempts for r in results] == [1, 2, 1, 1]
+        assert [r.run.best_spins for r in results] == [
+            r.run.best_spins for r in reference
+        ]
+        assert [r.run.ev_ideal for r in results] == [
+            r.run.ev_ideal for r in reference
+        ]
 
     def test_pool_permanent_failure_degrades_like_serial(self):
         problem = _problem()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cache import SolveCache
 from repro.core.partition import partition_problem
-from repro.core.solver import FrozenQubitsSolver, SolverConfig
+from repro.core.solver import SolverConfig
 from repro.exceptions import RecursiveError
 from repro.graphs import barabasi_albert_graph
 from repro.ising.bruteforce import brute_force_minimum
@@ -17,7 +17,6 @@ from repro.ising.symmetry import connected_components
 from repro.planning import ExecutionBudget
 from repro.recursive import (
     RecursiveConfig,
-    RecursiveResult,
     component_hamiltonians,
     plan_tree,
     solve_recursive,
@@ -306,22 +305,3 @@ class TestSolveRecursive:
         num_edges = len(h.quadratic)
         assert result.best_value <= -0.97 * num_edges
 
-
-class TestSolverRouting:
-    def test_recursive_flag_routes_solve(self):
-        h = powerlaw_instance(30, seed=19)
-        solver = FrozenQubitsSolver(
-            config=SolverConfig(recursive=True),
-            recursive_config=RecursiveConfig(max_leaf_qubits=8),
-            seed=19,
-        )
-        result = solver.solve(h)
-        assert isinstance(result, RecursiveResult)
-        assert h.evaluate(result.best_spins) == result.best_value
-
-    def test_default_config_stays_single_level(self):
-        h = powerlaw_instance(10, seed=23)
-        assert SolverConfig().recursive is False
-        result = FrozenQubitsSolver(num_frozen=1, seed=23).solve(h)
-        assert not isinstance(result, RecursiveResult)
-        assert result.frozen_qubits  # the single-level surface
