@@ -22,7 +22,6 @@ paper-vs-measured record.
 """
 
 from repro.backend import (
-    BatchedStatevectorBackend,
     ExecutionBackend,
     FaultPolicy,
     ProcessPoolBackend,
@@ -93,7 +92,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BaselineQAOA",
-    "BatchedStatevectorBackend",
     "Device",
     "ExecutionBackend",
     "ExecutionBudget",

@@ -6,9 +6,7 @@ package decides how they run:
 * :class:`SerialBackend` — one at a time, in-process (the default and the
   reference semantics);
 * :class:`ProcessPoolBackend` — multiprocessing fan-out, bit-identical to
-  serial thanks to deterministic per-job child seeds;
-* :class:`BatchedStatevectorBackend` — same-shape circuit simulations
-  stacked into vectorized statevector passes (the fast path on one core).
+  serial thanks to deterministic per-job child seeds.
 
 Pick one per call (``solver.solve(h, backend=...)``, ``solve_many(...,
 backend=...)``) or set a session-wide default with
@@ -31,7 +29,6 @@ from repro.backend.base import (
     ExecutionControl,
     JobResult,
     JobSpec,
-    attempt_with_policy,
     dependency_levels,
     execute_job,
     execute_job_with_policy,
@@ -40,11 +37,9 @@ from repro.backend.base import (
     inject_warm_start,
     set_backoff_sleeper,
     train_job,
-    shared_optimums,
     trained_params,
 )
 from repro.backend.policy import FAIL_FAST, FaultPolicy, classify_error
-from repro.backend.batched import BatchedStatevectorBackend
 from repro.backend.process_pool import ProcessPoolBackend
 from repro.backend.serial import SerialBackend
 from repro.exceptions import SolverError
@@ -53,7 +48,6 @@ from repro.exceptions import SolverError
 BACKEND_REGISTRY: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ProcessPoolBackend.name: ProcessPoolBackend,
-    BatchedStatevectorBackend.name: BatchedStatevectorBackend,
 }
 
 _default_backend: "ExecutionBackend | None" = None
@@ -84,7 +78,7 @@ def resolve_backend(
 
     Args:
         backend: ``None`` (=> session default), a registry name
-            (``"serial"``, ``"process"``, ``"batched"``), or an
+            (``"serial"`` or ``"process"``), or an
             :class:`ExecutionBackend` instance (returned unchanged).
 
     Raises:
@@ -109,7 +103,6 @@ def resolve_backend(
 
 __all__ = [
     "BACKEND_REGISTRY",
-    "BatchedStatevectorBackend",
     "ExecutionBackend",
     "ExecutionControl",
     "FAIL_FAST",
@@ -118,7 +111,6 @@ __all__ = [
     "JobSpec",
     "ProcessPoolBackend",
     "SerialBackend",
-    "attempt_with_policy",
     "classify_error",
     "dependency_levels",
     "execute_job",
@@ -131,6 +123,5 @@ __all__ = [
     "set_backoff_sleeper",
     "set_default_backend",
     "train_job",
-    "shared_optimums",
     "trained_params",
 ]

@@ -3,10 +3,9 @@
 FrozenQubits turns one problem into ``2**m`` *independent* sub-problems
 (paper Sec. 3.3) — an embarrassingly parallel fan-out that the solver
 expresses as a list of :class:`JobSpec`. An :class:`ExecutionBackend`
-decides how the jobs actually run: one at a time (serial), across worker
-processes, or with their circuit simulations stacked into vectorized
-batches. Results come back as :class:`JobResult`, in job order, regardless
-of how the backend scheduled the work.
+decides how the jobs actually run: one at a time (serial) or across worker
+processes. Results come back as :class:`JobResult`, in job order,
+regardless of how the backend scheduled the work.
 
 Determinism contract: a job's entire stochastic behaviour is governed by
 ``spec.seed``. Backends MUST run every job with exactly
@@ -28,9 +27,10 @@ Fault contract: every backend runs every job under a
 on its own: it is contained in that job's :class:`JobResult` (``run=None``
 plus a chained :class:`~repro.exceptions.JobError`), transient errors are
 retried on the *same spec* (same seed, so a successful retry is
-bit-identical to an unfailed first attempt) by :func:`attempt_with_policy`,
-and a failed job simply contributes nothing to ``params_by_id`` — its
-dependents degrade to fresh training exactly like any missing source.
+bit-identical to an unfailed first attempt) by
+:func:`execute_job_with_policy`, and a failed job simply contributes
+nothing to ``params_by_id`` — its dependents degrade to fresh training
+exactly like any missing source.
 Only the :class:`FailureBudget` aborts a submission; under ``FAIL_FAST``
 (budget zero) that happens at the first failure, as a ``JobError`` that
 names the job and chains its root cause.
@@ -45,7 +45,6 @@ import traceback
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Sequence
-from typing import TypeVar
 
 from repro.backend.policy import FAIL_FAST, FaultPolicy
 from repro.core.solver import (
@@ -61,8 +60,6 @@ from repro.faults import active_fault_injection
 from repro.ising.hamiltonian import IsingHamiltonian
 from repro.qaoa.executor import NoiseProfile, make_context
 from repro.transpile.compiler import TranspiledCircuit
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -222,9 +219,7 @@ class JobResult:
             sum to more than the submission's wall-clock).
         attempts: Attempts executed (1 = no retries were needed).
         attempt_seconds: Per-attempt wall-clock, oldest first; sums to
-            ``elapsed_seconds``. For stage-split backends the successful
-            attempt's entry includes that job's share of the batched
-            simulation and finish stages.
+            ``elapsed_seconds``.
         error: The terminal :class:`~repro.exceptions.JobError` of a job
             that exhausted its retries (the original exception rides its
             ``__cause__`` chain); ``None`` for successful jobs.
@@ -265,17 +260,6 @@ def train_job(spec: JobSpec) -> TrainedInstance:
     )
 
 
-def fire_fault_injection(spec: JobSpec, attempt: int = 0) -> None:
-    """Apply any armed fault plan to this job attempt (see :mod:`repro.faults`).
-
-    A no-op (one attribute probe + one env lookup) when no plan is armed,
-    so the hot path pays nothing for the capability.
-    """
-    injection = active_fault_injection(spec.config)
-    if injection is not None:
-        injection.fire(spec.job_id, attempt)
-
-
 def execute_job(spec: JobSpec, attempt: int = 0) -> JobResult:
     """Run one attempt of a job start to finish (module-level, so workers
     can pickle it).
@@ -287,7 +271,11 @@ def execute_job(spec: JobSpec, attempt: int = 0) -> JobResult:
     successful retry bit-identical to a successful first attempt.
     """
     started = time.perf_counter()
-    fire_fault_injection(spec, attempt)
+    # Any armed fault plan fires first (see :mod:`repro.faults`); with none
+    # armed this costs one attribute probe and one env lookup.
+    injection = active_fault_injection(spec.config)
+    if injection is not None:
+        injection.fire(spec.job_id, attempt)
     run = finish_qaoa_instance(train_job(spec))
     elapsed = time.perf_counter() - started
     return JobResult(
@@ -334,22 +322,22 @@ def failed_job_result(
     )
 
 
-def attempt_with_policy(
+def execute_job_with_policy(
     spec: JobSpec,
     policy: FaultPolicy,
-    work: "Callable[[JobSpec, int], T]",
     control: "ExecutionControl | None" = None,
-) -> "tuple[T | None, tuple[float, ...], BaseException | None]":
-    """Run ``work(spec, attempt)`` under a fault policy: bounded seeded
+) -> JobResult:
+    """Run one job start to finish under a fault policy: bounded seeded
     retries, cooperative timeout, and failure containment.
 
-    The one retry loop of every backend stage that runs a single job.
-    Returns ``(value, attempt_seconds, error)``: the successful attempt's
-    value and ``error=None``, or ``value=None`` and the terminal exception
-    once the policy stops retrying — a job-level error never raises. With
-    a ``control``, every retry passes its checkpoint (deadline/cancel *do*
-    raise — cancellation is not a job failure) and backoff sleeps wake
-    early on cancellation.
+    The in-process retry loop (the process pool's futures loop shares its
+    retry decision and timeout through the same policy methods). A
+    terminal failure comes back as the :func:`failed_job_result` record
+    (``run=None``) — a job-level error never raises — so the caller
+    decides between degradation and the submission-level
+    :class:`FailureBudget`. With a ``control``, every retry passes its
+    checkpoint (deadline/cancel *do* raise — cancellation is not a job
+    failure) and backoff sleeps wake early on cancellation.
     """
     attempt_seconds: list[float] = []
     for attempt in itertools.count():
@@ -357,7 +345,7 @@ def attempt_with_policy(
             control.checkpoint(f"retry of job {spec.job_id!r}")
         started = time.perf_counter()
         try:
-            value = work(spec, attempt)
+            result = execute_job(spec, attempt)
             error = None
         except Exception as exc:  # noqa: BLE001 — isolation is the point
             error = exc
@@ -366,34 +354,15 @@ def attempt_with_policy(
         if error is None:
             error = policy.timeout_error(spec.job_id, attempt, elapsed)
             if error is None:
-                return value, tuple(attempt_seconds), None
+                return replace(
+                    result,
+                    elapsed_seconds=float(sum(attempt_seconds)),
+                    attempts=len(attempt_seconds),
+                    attempt_seconds=tuple(attempt_seconds),
+                )
         if not policy.should_retry(error, attempt):
-            return None, tuple(attempt_seconds), error
+            return failed_job_result(spec.job_id, attempt_seconds, error)
         _backoff_sleep(policy, spec.job_id, attempt, control)
-
-
-def execute_job_with_policy(
-    spec: JobSpec,
-    policy: FaultPolicy,
-    control: "ExecutionControl | None" = None,
-) -> JobResult:
-    """Run one job start to finish under :func:`attempt_with_policy`.
-
-    A terminal failure comes back as the :func:`failed_job_result` record
-    (``run=None``), so the caller decides between degradation and the
-    submission-level :class:`FailureBudget`.
-    """
-    result, attempt_seconds, error = attempt_with_policy(
-        spec, policy, execute_job, control
-    )
-    if error is not None:
-        return failed_job_result(spec.job_id, attempt_seconds, error)
-    return replace(
-        result,
-        elapsed_seconds=float(sum(attempt_seconds)),
-        attempts=len(attempt_seconds),
-        attempt_seconds=attempt_seconds,
-    )
 
 
 #: The function that actually sleeps a backoff delay. Injectable so test
@@ -443,7 +412,7 @@ def _backoff_sleep(
 
 
 class FailureBudget:
-    """Submission-level failure accounting shared by the three backends.
+    """Submission-level failure accounting shared by both backends.
 
     Counts terminally-failed jobs and raises the moment the policy's
     budget is exceeded — the submission is presumed beyond saving, and
@@ -517,8 +486,8 @@ def dependency_levels(jobs: Sequence[JobSpec]) -> list[list[int]]:
     return levels
 
 
-def shared_optimums(optimization) -> tuple:
-    """The injectable outcomes of one training: ``(full, proxy)``.
+def trained_params(result: JobResult) -> tuple:
+    """A finished job's injectable optimums: ``(full, proxy)``.
 
     ``full`` is the ``(gammas, betas)`` the job settled on — what
     ``params_from`` adoption and ``warm_start_from`` seeding consume.
@@ -526,12 +495,8 @@ def shared_optimums(optimization) -> tuple:
     what ``proxy_from`` adoption consumes. One entry shape serves all
     three dependency kinds, so ``params_by_id`` stays a single dict.
     """
+    optimization = result.run.optimization
     return ((optimization.gammas, optimization.betas), optimization.proxy_params)
-
-
-def trained_params(result: JobResult) -> tuple:
-    """A finished job's injectable optimums (see :func:`shared_optimums`)."""
-    return shared_optimums(result.run.optimization)
 
 
 def execute_jobs_serially(
@@ -544,7 +509,7 @@ def execute_jobs_serially(
     The reference schedule: dependency levels in order, submission order
     inside each level, collecting every finished job's trained parameters
     so later levels can inject them. ``SerialBackend`` *is* this function;
-    pooled backends reuse it for their no-pool shortcut so the schedule
+    the process pool reuses it for its no-pool shortcut so the schedule
     lives in exactly one place.
 
     Failures are handled per the module docstring's fault contract:
@@ -568,7 +533,7 @@ def execute_jobs_serially(
         # Inject from a snapshot of the *previous* levels only: inside a
         # level, jobs must not see each other's results — that is what
         # makes the level schedulable concurrently (and keeps this
-        # reference semantics identical to the pooled backends, even for
+        # reference semantics identical to the process pool, even for
         # degenerate cycle-fallback levels).
         snapshot = dict(params_by_id)
         for index in level:
@@ -592,7 +557,7 @@ def inject_warm_start(
 ) -> JobSpec:
     """Resolve a dependent job's source parameters into the spec.
 
-    ``params_by_id`` maps finished job_ids to :func:`shared_optimums`
+    ``params_by_id`` maps finished job_ids to :func:`trained_params`
     entries. ``params_from`` adopts the source's full-instance optimum
     outright (the adopter skips optimization); ``proxy_from`` adopts the
     source's *proxy* optimum (this job skips the proxy stage but still

@@ -1,10 +1,9 @@
 """The default backend: one job at a time, in order, in-process.
 
-This is the reference semantics every other backend is measured against —
-``ProcessPoolBackend`` must match it bit-for-bit, ``BatchedStatevectorBackend``
-up to floating-point reassociation in the stacked simulator. Every job runs
-through :func:`~repro.backend.base.execute_jobs_serially` under the
-backend's fault policy (``FAIL_FAST`` unless one is given).
+This is the reference semantics ``ProcessPoolBackend`` must match
+bit-for-bit. Every job runs through
+:func:`~repro.backend.base.execute_jobs_serially` under the backend's
+fault policy (``FAIL_FAST`` unless one is given).
 """
 
 from __future__ import annotations

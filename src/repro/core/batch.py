@@ -5,9 +5,8 @@ circuits); iterating ``solver.solve`` one problem at a time leaves every
 backend's fan-out capacity on the table. :func:`solve_many` prepares all
 problems up front, submits the *union* of their sub-problem jobs in a
 single backend call — so a process pool sees one long queue instead of
-``2**m``-sized bursts, and a batched simulator can stack same-shape
-circuits across problems, not just within one — and then finalizes each
-problem from its slice of the results.
+``2**m``-sized bursts — and then finalizes each problem from its slice of
+the results.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ def solve_many(
     Every problem gets its own deterministic child seed (spawned from
     ``seed`` unless ``seeds`` pins them explicitly), so the output is
     reproducible and backend-independent: the same seed produces the same
-    ``FrozenQubitsResult`` list whether the jobs ran serially, across a
-    process pool, or batched.
+    ``FrozenQubitsResult`` list whether the jobs ran serially or across a
+    process pool.
 
     Args:
         problems: Ising Hamiltonians — or workload-style objects exposing a

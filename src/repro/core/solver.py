@@ -7,8 +7,9 @@ paper's protocol: parameters are tuned on the *ideal* simulator (p = 1 uses
 the closed form), then the circuit is evaluated under the device noise
 model; sampling draws shots from the depolarized distribution with readout
 errors. The run is split into two stages — :func:`train_qaoa_instance` and
-:func:`finish_qaoa_instance` — so execution backends can interleave the
-simulation work of many instances (see :mod:`repro.backend`).
+:func:`finish_qaoa_instance` — which a backend job runs back to back
+(:func:`repro.backend.base.execute_job`); per-stage timing tells them
+apart.
 
 ``FrozenQubitsSolver`` composes hotspot selection, partitioning, symmetry
 pruning, compile-once template editing, per-sub-problem training, outcome
@@ -98,6 +99,9 @@ if TYPE_CHECKING:
 class SolverConfig:
     """Knobs shared by the baseline runner and the FrozenQubits solver.
 
+    An out-of-range value raises a :class:`~repro.exceptions.SolverError`
+    naming the field when the config is built, not inside every job.
+
     Attributes:
         num_layers: QAOA depth p.
         shots: Measurement shots per executed circuit.
@@ -147,6 +151,23 @@ class SolverConfig:
     proxy_refine_maxiter: int = 30
     fault_injection: "object | None" = None
 
+    def __post_init__(self) -> None:
+        for name, low in (
+            ("num_layers", 1),
+            ("shots", 1),
+            ("grid_resolution", 1),
+            ("maxiter", 0),
+            ("max_sampled_qubits", 0),
+            ("proxy_refine_maxiter", 0),
+        ):
+            value = getattr(self, name)
+            if value < low:
+                raise SolverError(f"{name} must be >= {low}, got {value}")
+        if not 0.0 < self.proxy_ratio <= 1.0:
+            raise SolverError(
+                f"proxy_ratio must be in (0, 1], got {self.proxy_ratio}"
+            )
+
 
 @dataclass
 class QAOARunResult:
@@ -176,11 +197,10 @@ class QAOARunResult:
 class TrainedInstance:
     """A trained-but-not-yet-sampled QAOA instance (stage 1 of a run).
 
-    Execution backends hold a batch of these between the (sequential,
-    data-dependent) training stage and the (batchable) circuit-evaluation
-    stage. ``rng`` is the instance's own stream, already advanced past
-    training, so finishing later consumes exactly the draws the one-shot
-    path would have.
+    Handed from :func:`train_qaoa_instance` to
+    :func:`finish_qaoa_instance`. ``rng`` is the instance's own stream,
+    already advanced past training, so finishing consumes exactly the
+    draws that follow it.
 
     Attributes:
         hamiltonian: The instance Hamiltonian.
@@ -190,9 +210,6 @@ class TrainedInstance:
         optimization: Trained parameters and bookkeeping.
         ev_ideal: Ideal expectation at the trained parameters.
         ev_noisy: Noisy expectation at the trained parameters.
-        needs_sampling: Whether the instance samples at all (``False``
-            above the sampling cap — the annealing fallback needs no
-            simulation).
     """
 
     hamiltonian: IsingHamiltonian
@@ -202,7 +219,6 @@ class TrainedInstance:
     optimization: OptimizationResult
     ev_ideal: float
     ev_noisy: float
-    needs_sampling: bool = False
 
 
 def _optimize_on(
@@ -370,9 +386,6 @@ def train_qaoa_instance(
     gammas, betas = optimization.gammas, optimization.betas
     ev_ideal = float(evaluate_ideal(context, gammas, betas))
     ev_noisy = float(evaluate_noisy(context, gammas, betas))
-    needs_sampling = hamiltonian.num_qubits <= min(
-        cfg.max_sampled_qubits, MAX_SIM_QUBITS
-    )
     return TrainedInstance(
         hamiltonian=hamiltonian,
         config=cfg,
@@ -381,7 +394,6 @@ def train_qaoa_instance(
         optimization=optimization,
         ev_ideal=ev_ideal,
         ev_noisy=ev_noisy,
-        needs_sampling=needs_sampling,
     )
 
 
@@ -395,11 +407,6 @@ def sampling_cap_fallback_anneal(
     call site: repeated sweeps answer this fallback from cache too. The
     fallback seed is one integer drawn from the instance's stream — an int
     pins the whole RNG trajectory, which is what makes the call cacheable.
-
-    Backends that batch this fallback across instances
-    (:class:`~repro.backend.batched.BatchedStatevectorBackend`) must
-    reproduce the exact same draw: one ``rng.integers(0, 2**31 - 1)`` per
-    instance, at finish time.
     """
     from repro.cache import get_default_cache
 
@@ -409,25 +416,16 @@ def sampling_cap_fallback_anneal(
     )
 
 
-def finish_qaoa_instance(
-    trained: TrainedInstance,
-    ideal_probs: "np.ndarray | None" = None,
-    fallback_anneal: "AnnealResult | None" = None,
-) -> QAOARunResult:
+def finish_qaoa_instance(trained: TrainedInstance) -> QAOARunResult:
     """Stage 2 of a QAOA run: simulate, sample, and pick the best outcome.
+
+    The outcome distribution comes from the fused diagonal QAOA kernel
+    (one phase multiply per cost layer against the memoized spectrum).
+    Above the sampling cap the instance is annealed instead
+    (:func:`sampling_cap_fallback_anneal`).
 
     Args:
         trained: Output of :func:`train_qaoa_instance`.
-        ideal_probs: Pre-computed outcome distribution of the instance's
-            sampling circuit (e.g. one row of a batched pass); derived
-            here when omitted, via the fused diagonal QAOA kernel (one
-            phase multiply per cost layer against the memoized spectrum).
-        fallback_anneal: Pre-computed sampling-cap fallback result (e.g.
-            one sibling of a backend's batched
-            :func:`~repro.cache.memo.cached_anneal_many` pass). The caller
-            must have drawn the fallback seed from ``trained.rng`` exactly
-            as :func:`sampling_cap_fallback_anneal` would, so the stream
-            stays aligned with the serial path.
     """
     hamiltonian = trained.hamiltonian
     cfg = trained.config
@@ -435,15 +433,14 @@ def finish_qaoa_instance(
     rng = trained.rng
     n = hamiltonian.num_qubits
     counts: "Counts | None" = None
-    if trained.needs_sampling:
-        if ideal_probs is None:
-            opt = trained.optimization
-            ideal_probs = qaoa_probabilities(
-                hamiltonian,
-                opt.gammas,
-                opt.betas,
-                spectrum=memoized_spectrum(hamiltonian),
-            )
+    if n <= min(cfg.max_sampled_qubits, MAX_SIM_QUBITS):
+        opt = trained.optimization
+        ideal_probs = qaoa_probabilities(
+            hamiltonian,
+            opt.gammas,
+            opt.betas,
+            spectrum=memoized_spectrum(hamiltonian),
+        )
         if context.noise_model is not None:
             flips = (
                 flip_probabilities_from_factors(context.readout, n)
@@ -471,9 +468,7 @@ def finish_qaoa_instance(
             best_value = float(values[index])
             best_spins = tuple(int(s) for s in spins[index])
     else:
-        anneal = fallback_anneal
-        if anneal is None:
-            anneal = sampling_cap_fallback_anneal(hamiltonian, rng)
+        anneal = sampling_cap_fallback_anneal(hamiltonian, rng)
         best_spins, best_value = anneal.spins, anneal.value
     return QAOARunResult(
         context=context,
@@ -1468,8 +1463,8 @@ class FrozenQubitsSolver:
             device: Optional device model (enables noise + compilation).
             backend: Execution backend for the sub-problem fan-out — an
                 :class:`~repro.backend.ExecutionBackend`, a registry name
-                (``"serial"``, ``"process"``, ``"batched"``), or ``None``
-                for the session default (serial unless overridden via
+                (``"serial"`` or ``"process"``), or ``None`` for the
+                session default (serial unless overridden via
                 :func:`repro.backend.set_default_backend`).
             control: Optional :class:`~repro.backend.ExecutionControl`
                 carrying a cooperative deadline/cancel signal and a

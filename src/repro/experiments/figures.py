@@ -196,8 +196,8 @@ def arg_sweep(
     """Mean ARG per size for each m in ``frozen_values`` over a suite.
 
     The per-(size, m) instance group is submitted through
-    :func:`repro.core.solve_many` in one backend call, so a parallel or
-    batched ``execution_backend`` sees the whole fan-out at once.
+    :func:`repro.core.solve_many` in one backend call, so a parallel
+    ``execution_backend`` sees the whole fan-out at once.
     """
     device = get_backend(backend)
     cfg = config or SolverConfig(shots=2048, grid_resolution=10, maxiter=40)

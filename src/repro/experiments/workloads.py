@@ -152,8 +152,7 @@ def solve_suite(
 
     Thin suite-level wrapper over :func:`repro.core.solve_many`: every
     instance's sub-problem jobs go to the backend as one queue, so process
-    pools stay saturated across instance boundaries and the batched
-    simulator can stack same-shape circuits from different instances.
+    pools stay saturated across instance boundaries.
 
     Args:
         instances: Workload instances (any of the suite builders' output).

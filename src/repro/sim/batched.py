@@ -1,7 +1,7 @@
 """The batched single-qubit gate primitive of the fused QAOA kernel.
 
 :mod:`repro.sim.qaoa_kernel` stacks ``B`` statevectors into one
-``(B, 2, ..., 2)`` tensor (a parameter batch, or a sibling fan-out) and
+``(B, 2, ..., 2)`` tensor (a parameter batch) and
 applies each layer's mixer rotation to every item with one broadcasted
 matmul per qubit. This module holds that one primitive.
 """

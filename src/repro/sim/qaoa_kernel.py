@@ -23,8 +23,6 @@ whose trade-off is 2**n floats held per Hamiltonian.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.exceptions import SimulationError
@@ -157,13 +155,12 @@ def qaoa_statevectors_batch(
 def _batch_chunk(
     g: np.ndarray, b: np.ndarray, phases: np.ndarray, n: int
 ) -> np.ndarray:
-    # ``phases``: one shared spectrum (2**n,) or one row per item (B, 2**n)
-    # — the sibling fan-out case, where items share shape but not energies.
+    # One chunk of a parameter batch: every row evolves under the same
+    # spectrum ``phases`` (2**n,), broadcast across the batch axis.
     batch = g.shape[0]
-    phase_rows = phases if phases.ndim == 2 else phases[None, :]
     state = uniform_superposition(n, batch=batch)
     for layer in range(g.shape[1]):
-        state *= np.exp(-1j * g[:, layer, None] * phase_rows)
+        state *= np.exp(-1j * g[:, layer, None] * phases)
         tensor = state.reshape((batch,) + (2,) * n)
         c = np.cos(b[:, layer])
         s = -1j * np.sin(b[:, layer])
@@ -189,53 +186,6 @@ def qaoa_probabilities_batch(
         hamiltonian, gammas, betas, spectrum=spectrum
     )
     return np.abs(amplitudes) ** 2
-
-
-def qaoa_probabilities_fanout(
-    hamiltonians: "Sequence[IsingHamiltonian]",
-    gammas: np.ndarray,
-    betas: np.ndarray,
-) -> np.ndarray:
-    """Outcome distributions of a *fan-out*: one Hamiltonian per row.
-
-    The FrozenQubits sibling case: ``B`` same-width, same-depth QAOA
-    instances that differ in coefficients (and so in spectra). Each row
-    gets its own fused cost diagonal; the mixer contraction is shared.
-    Replaces ``B`` independent gate-loop simulations with one stacked
-    fused pass.
-
-    Args:
-        hamiltonians: ``B`` instances, all with the same qubit count.
-        gammas: Phase angles, shape ``(B, p)``.
-        betas: Mixing angles, shape ``(B, p)``.
-    """
-    if not hamiltonians:
-        raise SimulationError("cannot simulate an empty fan-out")
-    g, b = _validated_angles(gammas, betas, batched=True)
-    if g.shape[0] != len(hamiltonians):
-        raise SimulationError(
-            f"{len(hamiltonians)} Hamiltonians but {g.shape[0]} angle rows"
-        )
-    n = hamiltonians[0].num_qubits
-    for hamiltonian in hamiltonians[1:]:
-        if hamiltonian.num_qubits != n:
-            raise SimulationError(
-                "fan-out simulation requires equal qubit counts, got "
-                f"{hamiltonian.num_qubits} and {n}"
-            )
-    phases = np.stack(
-        [_phase_spectrum(h, None) for h in hamiltonians]
-    )
-    size = 1 << n
-    out = np.empty((len(hamiltonians), size), dtype=complex)
-    chunk = max(1, BATCH_CHUNK_AMPLITUDES // size)
-    for start in range(0, len(hamiltonians), chunk):
-        stop = min(start + chunk, len(hamiltonians))
-        amplitudes = _batch_chunk(
-            g[start:stop], b[start:stop], phases[start:stop], n
-        )
-        out[start:stop] = amplitudes
-    return np.abs(out) ** 2
 
 
 def qaoa_expectations_batch(

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backend.process_pool import ProcessPoolBackend
 from repro.backend.serial import SerialBackend
 from repro.baselines.classical import c_min_many, solve_classically_many
 from repro.cache.memo import (
@@ -427,10 +428,8 @@ class TestSolverIntegration:
             set_default_cache(None)
 
     def test_sampling_cap_fallback_matches_across_backends(self):
-        """The batched backend's one-call fallback pass must be
-        bit-identical to the serial per-instance path."""
-        from repro.backend.batched import BatchedStatevectorBackend
-
+        """The over-the-cap fallback draws its seed from the job's own
+        stream, so worker processes reproduce the serial answer."""
         problem = _powerlaw(22, 1, seed=61)
         config = SolverConfig(
             grid_resolution=3, maxiter=4, shots=64, max_sampled_qubits=8
@@ -438,15 +437,17 @@ class TestSolverIntegration:
 
         def solve(backend):
             return FrozenQubitsSolver(
-                num_frozen=1, config=config, seed=67
+                num_frozen=2, config=config, seed=67
             ).solve(problem, backend=backend)
 
         serial = solve(SerialBackend())
-        batched = solve(BatchedStatevectorBackend())
-        assert serial.best_spins == batched.best_spins
-        assert serial.best_value == batched.best_value
+        pooled = solve(ProcessPoolBackend(max_workers=2))
+        # Two 20-qubit jobs: the pool forks, so the fallback runs in workers.
+        assert sum(o.run is not None for o in serial.outcomes) == 2
+        assert serial.best_spins == pooled.best_spins
+        assert serial.best_value == pooled.best_value
         assert [o.best_spins for o in serial.outcomes] == [
-            o.best_spins for o in batched.outcomes
+            o.best_spins for o in pooled.outcomes
         ]
 
 

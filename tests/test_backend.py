@@ -1,10 +1,9 @@
 """Tests for repro.backend: the execution-backend contract.
 
 The load-bearing guarantees: per-job child seeds make results
-backend-independent (serial == process pool, bit for bit), the batched
-statevector path is numerically faithful, the batch API composes out of
-single solves, and the template-editing fan-out gives every job its own
-coefficients (no aliasing through the shared master).
+backend-independent (serial == process pool, bit for bit), the batch API
+composes out of single solves, and the template-editing fan-out gives
+every job its own coefficients (no aliasing through the shared master).
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 
 from repro.backend import (
     BACKEND_REGISTRY,
-    BatchedStatevectorBackend,
     ExecutionBackend,
     JobSpec,
     ProcessPoolBackend,
@@ -57,8 +55,7 @@ class TestRegistry:
     def test_resolve_names(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
         assert isinstance(resolve_backend("process"), ProcessPoolBackend)
-        assert isinstance(resolve_backend("batched"), BatchedStatevectorBackend)
-        assert set(BACKEND_REGISTRY) == {"serial", "process", "batched"}
+        assert set(BACKEND_REGISTRY) == {"serial", "process"}
 
     def test_resolve_instance_passthrough(self):
         backend = SerialBackend()
@@ -75,9 +72,9 @@ class TestRegistry:
     def test_default_backend_roundtrip(self):
         assert isinstance(get_default_backend(), SerialBackend)
         try:
-            set_default_backend("batched")
-            assert isinstance(get_default_backend(), BatchedStatevectorBackend)
-            assert isinstance(resolve_backend(None), BatchedStatevectorBackend)
+            set_default_backend("process")
+            assert isinstance(get_default_backend(), ProcessPoolBackend)
+            assert isinstance(resolve_backend(None), ProcessPoolBackend)
         finally:
             set_default_backend(None)
         assert isinstance(get_default_backend(), SerialBackend)
@@ -85,8 +82,6 @@ class TestRegistry:
     def test_pool_validates_args(self):
         with pytest.raises(SolverError):
             ProcessPoolBackend(max_workers=0)
-        with pytest.raises(SolverError):
-            BatchedStatevectorBackend(max_batch_size=0)
 
 
 class TestBackendEquivalence:
@@ -111,34 +106,10 @@ class TestBackendEquivalence:
         )
         _assert_results_identical(serial, pooled)
 
-    def test_serial_matches_batched(self):
-        h = _problem()
-        device = get_backend("montreal")
-        serial = FrozenQubitsSolver(num_frozen=2, config=FAST, seed=11).solve(
-            h, device=device
-        )
-        batched = FrozenQubitsSolver(num_frozen=2, config=FAST, seed=11).solve(
-            h, device=device, backend=BatchedStatevectorBackend()
-        )
-        # Expectations are angle-analytic: exact. Sampled outcomes go
-        # through the stacked simulator: numerically equal distributions.
-        assert batched.ev_ideal == serial.ev_ideal
-        assert batched.ev_noisy == serial.ev_noisy
-        assert batched.best_value == pytest.approx(serial.best_value)
-        assert batched.combined_counts.total_shots == serial.combined_counts.total_shots
-
-    def test_batched_chunks_groups(self):
-        h = _problem(9)
-        result = FrozenQubitsSolver(
-            num_frozen=3, prune_symmetric=False, config=FAST, seed=13
-        ).solve(h, backend=BatchedStatevectorBackend(max_batch_size=3))
-        assert result.num_circuits_executed == 8
-        assert len(result.outcomes) == 8
-
     def test_string_backend_accepted_by_solve(self):
         h = _problem()
         result = FrozenQubitsSolver(num_frozen=1, config=FAST, seed=15).solve(
-            h, backend="batched"
+            h, backend="process"
         )
         assert len(result.best_spins) == h.num_qubits
 
@@ -165,18 +136,13 @@ class TestJobs:
             JobSpec(job_id=f"j{i}", hamiltonian=_problem(5, seed=i), config=FAST, seed=i)
             for i in range(4)
         ]
-        for backend in (
-            SerialBackend(),
-            ProcessPoolBackend(max_workers=2),
-            BatchedStatevectorBackend(),
-        ):
+        for backend in (SerialBackend(), ProcessPoolBackend(max_workers=2)):
             results = backend.run(specs)
             assert [r.job_id for r in results] == [s.job_id for s in specs]
 
     def test_empty_submission(self):
         assert ProcessPoolBackend().run([]) == []
         assert SerialBackend().run([]) == []
-        assert BatchedStatevectorBackend().run([]) == []
 
     def test_finalize_rejects_result_mismatch(self):
         h = _problem()
@@ -299,4 +265,3 @@ class TestAbstractContract:
 
     def test_repr(self):
         assert "ProcessPoolBackend" in repr(ProcessPoolBackend(max_workers=3))
-        assert "BatchedStatevectorBackend" in repr(BatchedStatevectorBackend())

@@ -3,7 +3,7 @@
 The solver's contract (ISSUE 3 satellite): with the same seed, a
 ``FrozenQubitsResult`` is bit-identical across
 
-* execution backends (serial vs process-pool vs batched at p=1),
+* execution backends (serial vs process-pool at p=1),
 * caching modes (off vs cold cache vs warm cache vs disk-warmed cache),
 * dedup/fallback paths (budget-pruned cells, warm starts off).
 
@@ -19,11 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backend import (
-    BatchedStatevectorBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
+from repro.backend import ProcessPoolBackend, SerialBackend
 from repro.cache import SolveCache
 from repro.core import FrozenQubitsSolver, SolverConfig, solve_many
 from repro.core.solver import FrozenQubitsResult
@@ -92,9 +88,6 @@ def test_backends_bit_identical_with_and_without_cache(problem):
     assert result_signature(
         solve(problem, backend=ProcessPoolBackend(max_workers=2), cache=cache)
     ) == reference
-    assert result_signature(
-        solve(problem, backend=BatchedStatevectorBackend(), cache=cache)
-    ) == reference
 
 
 def test_disk_warmed_cache_bit_identical(problem, tmp_path):
@@ -149,19 +142,18 @@ def test_asymmetric_parent_dedups_identical_siblings_bit_identically():
     assert deduped.num_deduplicated == 1
     assert reference.num_deduplicated == 1
     assert result_signature(deduped) == result_signature(reference)
-    # The dedup dependency (params_from) schedules identically on every
-    # backend: the adopting job runs a level after its trainer.
-    for backend in (
-        ProcessPoolBackend(max_workers=2),
-        BatchedStatevectorBackend(),
-    ):
-        solver = FrozenQubitsSolver(
-            plan=plan, config=CONFIG, seed=55, cache=SolveCache(),
-            warm_start=False,
-        )
-        result = solver.solve(problem, get_backend("montreal"), backend=backend)
-        assert result.num_deduplicated == 1
-        assert result_signature(result) == result_signature(reference)
+    # The dedup dependency (params_from) schedules identically on the
+    # process pool: the adopting job runs a level after its trainer.
+    solver = FrozenQubitsSolver(
+        plan=plan, config=CONFIG, seed=55, cache=SolveCache(),
+        warm_start=False,
+    )
+    result = solver.solve(
+        problem, get_backend("montreal"),
+        backend=ProcessPoolBackend(max_workers=2),
+    )
+    assert result.num_deduplicated == 1
+    assert result_signature(result) == result_signature(reference)
 
 
 def test_solve_many_batch_cache_bit_identical(problem):

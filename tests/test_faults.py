@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from repro.backend import process_pool
 from repro.backend import (
     FAIL_FAST,
-    BatchedStatevectorBackend,
     ExecutionControl,
     FaultPolicy,
     JobSpec,
@@ -471,7 +470,6 @@ BACKENDS = {
     "process": lambda policy: ProcessPoolBackend(
         max_workers=2, fault_policy=policy
     ),
-    "batched": lambda policy: BatchedStatevectorBackend(fault_policy=policy),
 }
 
 
@@ -730,63 +728,6 @@ class TestProcessPoolResilience:
         )
         assert _signature(serial) == _signature(pooled)
         assert pooled.num_failed_jobs == 1
-
-
-# ----------------------------------------------------------------------
-# Batched backend containment
-# ----------------------------------------------------------------------
-class TestBatchedResilience:
-    def test_transient_recovery_matches_fault_free_batched(self):
-        problem = _problem()
-        base = FrozenQubitsSolver(num_frozen=2, config=FAST, seed=13).solve(
-            problem, backend=BatchedStatevectorBackend()
-        )
-        config = SolverConfig(
-            shots=FAST.shots,
-            grid_resolution=FAST.grid_resolution,
-            maxiter=FAST.maxiter,
-            fault_injection=FaultInjection(fail_jobs={"sp0": 1}),
-        )
-        recovered = FrozenQubitsSolver(
-            num_frozen=2, config=config, seed=13
-        ).solve(
-            problem,
-            backend=BatchedStatevectorBackend(
-                fault_policy=FaultPolicy(max_retries=1)
-            ),
-        )
-        assert _signature(base) == _signature(recovered)
-        assert recovered.num_job_retries == 1
-
-    def test_permanent_failure_drops_out_of_the_stacked_passes(self):
-        problem = _problem()
-        config = SolverConfig(
-            shots=FAST.shots,
-            grid_resolution=FAST.grid_resolution,
-            maxiter=FAST.maxiter,
-            fault_injection=FaultInjection(fail_jobs={"sp0": None}),
-        )
-        result = FrozenQubitsSolver(
-            num_frozen=2, config=config, seed=13
-        ).solve(
-            problem,
-            backend=BatchedStatevectorBackend(fault_policy=FaultPolicy()),
-        )
-        assert result.num_failed_jobs == 1
-        assert [o.source for o in result.outcomes].count("failed") == 1
-
-    def test_fail_fast_wraps_as_job_error(self):
-        problem = _problem()
-        config = SolverConfig(
-            shots=FAST.shots,
-            grid_resolution=FAST.grid_resolution,
-            maxiter=FAST.maxiter,
-            fault_injection=FaultInjection(fail_jobs={"sp1": None}),
-        )
-        solver = FrozenQubitsSolver(num_frozen=2, config=config, seed=13)
-        with pytest.raises(JobError) as excinfo:
-            solver.solve(problem, backend=BatchedStatevectorBackend())
-        assert excinfo.value.job_id == "sp1"
 
 
 # ----------------------------------------------------------------------

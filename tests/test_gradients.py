@@ -13,8 +13,7 @@ Three layers of evidence:
 * the L-BFGS-B training path converges in fewer objective evaluations at
   an equal-or-better value than a derivative-free Nelder-Mead run from the
   same multistarts, counts its gradient evaluations separately, and is
-  bit-identical across the serial, process-pool, and batched execution
-  backends.
+  bit-identical across the serial and process-pool execution backends.
 """
 
 from __future__ import annotations
@@ -353,7 +352,5 @@ class TestSolverIntegration:
         """The L-BFGS training path runs per-job in every backend, so the
         full solve must be reproducible flip-for-flip across them."""
         serial = _solve_fingerprint(self._solve("serial"))
-        batched = _solve_fingerprint(self._solve("batched"))
         process = _solve_fingerprint(self._solve("process"))
-        assert serial == batched
         assert serial == process

@@ -17,12 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.backend import (
-    BatchedStatevectorBackend,
-    FaultPolicy,
-    ProcessPoolBackend,
-    SerialBackend,
-)
+from repro.backend import FaultPolicy, ProcessPoolBackend, SerialBackend
 from repro.cache import SolveCache
 from repro.core import FrozenQubitsSolver, SolverConfig
 from repro.devices import get_backend
@@ -282,10 +277,8 @@ def test_adoption_is_bit_identical_across_backends_and_cache_modes(tree):
     cache = SolveCache()
     for backend, mode in (
         (ProcessPoolBackend(max_workers=2), False),
-        (BatchedStatevectorBackend(), False),
         (SerialBackend(), cache),  # cold
         (SerialBackend(), cache),  # warm
-        (BatchedStatevectorBackend(), cache),
     ):
         result = run(backend, mode)
         assert result.num_deduplicated == reference.num_deduplicated

@@ -463,27 +463,6 @@ class TestWarmStarts:
             serial.num_optimizer_evaluations == pooled.num_optimizer_evaluations
         )
 
-    def test_batched_backend_matches_serial_with_warm_start(
-        self, ba10_hamiltonian
-    ):
-        from repro.backend import BatchedStatevectorBackend
-
-        solver_kwargs = dict(
-            num_frozen=3,
-            prune_symmetric=False,
-            config=FAST,
-            seed=22,
-            warm_start=True,
-        )
-        serial = FrozenQubitsSolver(**solver_kwargs).solve(
-            ba10_hamiltonian, backend=SerialBackend()
-        )
-        batched = FrozenQubitsSolver(**solver_kwargs).solve(
-            ba10_hamiltonian, backend=BatchedStatevectorBackend()
-        )
-        assert serial.best_value == pytest.approx(batched.best_value)
-        assert serial.num_warm_started == batched.num_warm_started
-
 
 class TestOptimizerInitialPoint:
     def _quadratic_objective(self, optimum):

@@ -286,7 +286,7 @@ class TestProxyTraining:
         problem = _problem(14, 3, seed=72)
         device = get_backend("montreal")
         results = []
-        for backend in ("serial", "process", "batched"):
+        for backend in ("serial", "process"):
             solver = FrozenQubitsSolver(
                 num_frozen=3,
                 prune_symmetric=False,

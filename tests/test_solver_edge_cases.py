@@ -2,7 +2,8 @@
 
 Covers the corners the happy-path tests skip: degenerate graphs, frozen
 hotspots that disconnect the problem, zero-edge sub-problems, devices that
-are too small, hostile calibrations, and metric degeneracies.
+are too small, hostile calibrations, metric degeneracies, and out-of-range
+solver knobs.
 """
 
 import pytest
@@ -11,7 +12,7 @@ from repro.core import FrozenQubitsSolver, SolverConfig, select_hotspots
 from repro.core.partition import executed_subproblems, partition_problem
 from repro.devices import CouplingMap, Device, uniform_calibration
 from repro.devices.topologies import linear_coupling
-from repro.exceptions import QAOAError, TranspileError
+from repro.exceptions import QAOAError, SolverError, TranspileError
 from repro.graphs.generators import ring_graph, star_graph
 from repro.ising import IsingHamiltonian, brute_force_minimum
 from repro.qaoa import approximation_ratio_gap, build_qaoa_template
@@ -19,6 +20,39 @@ from repro.qaoa.executor import evaluate_noisy, make_context
 from repro.transpile import transpile
 
 FAST = SolverConfig(shots=512, grid_resolution=6, maxiter=20)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_layers", 0),
+            ("shots", 0),
+            ("shots", -5),
+            ("grid_resolution", 0),
+            ("maxiter", -1),
+            ("max_sampled_qubits", -1),
+            ("proxy_refine_maxiter", -1),
+            ("proxy_ratio", 0.0),
+            ("proxy_ratio", 1.5),
+        ],
+    )
+    def test_out_of_range_value_rejected_at_construction(self, field, value):
+        """Rejected when built, not by every job failing inside training."""
+        with pytest.raises(SolverError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_inclusive_bounds_accepted(self):
+        config = SolverConfig(
+            num_layers=1,
+            shots=1,
+            grid_resolution=1,
+            maxiter=0,
+            max_sampled_qubits=0,
+            proxy_refine_maxiter=0,
+            proxy_ratio=1.0,
+        )
+        assert config.proxy_ratio == 1.0
 
 
 class TestDegenerateProblems:
