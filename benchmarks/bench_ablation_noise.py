@@ -1,8 +1,8 @@
 """Ablation: depolarizing model vs stochastic Pauli-trajectory simulation.
 
 The scalable depolarizing model must agree with the faithful trajectory
-simulator on noisy expectations — this is the substitution claim of
-DESIGN.md, quantified here on several small instances.
+simulator on noisy expectations — this is the substitution claim of the
+``repro.sim`` docstring, quantified here on several small instances.
 """
 
 import numpy as np

@@ -2,7 +2,7 @@
 
 Every bench runs at a CI-friendly scale by default and at the paper's scale
 with ``REPRO_FULL=1``. Each bench prints the regenerated data table so the
-run doubles as the paper-figure reproduction record (see EXPERIMENTS.md).
+run doubles as the paper-figure reproduction record.
 
 Perf-gating benches additionally emit a machine-readable record via
 :func:`emit_bench_json` — one ``BENCH_<name>.json`` per bench under

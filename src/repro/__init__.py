@@ -17,8 +17,8 @@ Quickstart::
     result = FrozenQubitsSolver(num_frozen=2).solve(problem, get_backend("montreal"))
     print(result.best_spins, result.best_value)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+The README's "Architecture" section maps the layers; ROADMAP.md holds
+the open items.
 """
 
 from repro.backend import (

@@ -11,7 +11,11 @@ Determinism contract: a job's entire stochastic behaviour is governed by
 ``spec.seed``. Backends MUST run every job with exactly
 ``ensure_rng(spec.seed)`` and MUST NOT share generator state across jobs —
 that is what makes ``SerialBackend`` and ``ProcessPoolBackend`` produce
-bit-identical results from the same solver seed.
+bit-identical results from the same solver seed. The one thing jobs share
+is a landscape class's simulated frame distribution (``spec.frame_mask``):
+:func:`execute_jobs_serially` memoizes it for one submission and pool
+workers re-simulate it per job; it is a pure function of the frame and
+the parameters, so both give the same bits.
 
 Dependency contract: a job whose ``spec.warm_start_from`` (optimizer
 seeding), ``spec.params_from`` (parameter adoption), or ``spec.proxy_from``
@@ -60,6 +64,11 @@ from repro.faults import active_fault_injection
 from repro.ising.hamiltonian import IsingHamiltonian
 from repro.qaoa.executor import NoiseProfile, make_context
 from repro.transpile.compiler import TranspiledCircuit
+from repro.utils.memo import BoundedMemo
+
+#: Frame distributions one serial submission keeps: every class of a
+#: 16-cell fan-out, 8 MB at 16 qubits.
+FRAME_MEMO_ENTRIES = 16
 
 
 @dataclass
@@ -96,11 +105,19 @@ class JobSpec:
         params_from: job_id of the job whose trained parameters this
             job *adopts outright*: its landscape-class trainer (a sibling
             whose QAOA landscape equals this job's, see
-            :func:`repro.ising.landscape_class_key`) or, in a cached batch,
+            :func:`repro.ising.landscape_class`) or, in a cached batch,
             an identical instance's trainer. Backends execute the source
             first and inject its parameters as ``params`` — the adopter
             skips optimization but still samples on its own seed stream.
             A missing source degrades to fresh training.
+        frame_mask: For a member of a landscape class of two or more, the
+            spin flips (bit ``q`` = qubit ``q``) from the class frame — the
+            trainer's fields and couplings, offset dropped — to this job's
+            instance; the trainer carries 0. The job samples the frame's
+            ideal distribution permuted by the mask (see
+            :func:`~repro.core.solver.finish_qaoa_instance`), so a
+            submission simulates each class once. ``None`` — a class of
+            one — simulates the job's own instance.
         proxy: This job's :class:`~repro.reduction.ProxySpec`, selecting
             the proxy-landscape training path (train on the sparsified
             canonical-frame proxy, transfer, refine short). ``None`` runs
@@ -126,6 +143,7 @@ class JobSpec:
     initial_params: "tuple[tuple[float, ...], tuple[float, ...]] | None" = None
     warm_start_from: "str | None" = None
     params_from: "str | None" = None
+    frame_mask: "int | None" = None
     proxy: "object | None" = None
     proxy_from: "str | None" = None
 
@@ -260,7 +278,11 @@ def train_job(spec: JobSpec) -> TrainedInstance:
     )
 
 
-def execute_job(spec: JobSpec, attempt: int = 0) -> JobResult:
+def execute_job(
+    spec: JobSpec,
+    attempt: int = 0,
+    frames: "BoundedMemo | None" = None,
+) -> JobResult:
     """Run one attempt of a job start to finish (module-level, so workers
     can pickle it).
 
@@ -269,6 +291,8 @@ def execute_job(spec: JobSpec, attempt: int = 0) -> JobResult:
     the fault-injection harness only — the job's own stochastic behaviour
     is governed entirely by ``spec.seed``, which is what keeps a
     successful retry bit-identical to a successful first attempt.
+    ``frames`` is the submission's landscape-class distribution memo (see
+    :func:`execute_jobs_serially`); ``None`` simulates every frame anew.
     """
     started = time.perf_counter()
     # Any armed fault plan fires first (see :mod:`repro.faults`); with none
@@ -276,7 +300,7 @@ def execute_job(spec: JobSpec, attempt: int = 0) -> JobResult:
     injection = active_fault_injection(spec.config)
     if injection is not None:
         injection.fire(spec.job_id, attempt)
-    run = finish_qaoa_instance(train_job(spec))
+    run = finish_qaoa_instance(train_job(spec), spec.frame_mask, frames)
     elapsed = time.perf_counter() - started
     return JobResult(
         job_id=spec.job_id,
@@ -326,6 +350,7 @@ def execute_job_with_policy(
     spec: JobSpec,
     policy: FaultPolicy,
     control: "ExecutionControl | None" = None,
+    frames: "BoundedMemo | None" = None,
 ) -> JobResult:
     """Run one job start to finish under a fault policy: bounded seeded
     retries, cooperative timeout, and failure containment.
@@ -345,7 +370,7 @@ def execute_job_with_policy(
             control.checkpoint(f"retry of job {spec.job_id!r}")
         started = time.perf_counter()
         try:
-            result = execute_job(spec, attempt)
+            result = execute_job(spec, attempt, frames)
             error = None
         except Exception as exc:  # noqa: BLE001 — isolation is the point
             error = exc
@@ -524,11 +549,18 @@ def execute_jobs_serially(
     :class:`~repro.exceptions.DeadlineExceeded` out of the submission)
     and an ``on_job_done`` ping after every job, which is how per-sibling
     progress streams out of a running submission.
+
+    The members of a landscape class (``spec.frame_mask`` set) share one
+    simulated frame distribution through a memo that lives for this call
+    only. It is bounded, so a batch of many problems cannot hold every
+    class's ``2**n`` distribution at once; a miss re-simulates the frame,
+    to the same bits.
     """
     jobs = list(jobs)
     results: dict[int, JobResult] = {}
     params_by_id: dict = {}
     budget = FailureBudget(policy, len(jobs))
+    frames: "BoundedMemo" = BoundedMemo(max_entries=FRAME_MEMO_ENTRIES)
     for level in dependency_levels(jobs):
         # Inject from a snapshot of the *previous* levels only: inside a
         # level, jobs must not see each other's results — that is what
@@ -540,7 +572,7 @@ def execute_jobs_serially(
             if control is not None:
                 control.checkpoint(f"job {jobs[index].job_id!r}")
             spec = inject_warm_start(jobs[index], snapshot)
-            result = execute_job_with_policy(spec, policy, control)
+            result = execute_job_with_policy(spec, policy, control, frames)
             results[index] = result
             if control is not None:
                 control.notify_job_done(result.job_id, result.failed)

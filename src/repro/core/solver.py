@@ -29,7 +29,8 @@ full state-space — and enable cross-sibling warm starts, where one
 representative sibling trains fresh and seeds every other sibling's
 optimizer with its ``(gamma, beta)``. Independently of planning, siblings
 whose QAOA landscapes coincide (fields equal up to sign on every connected
-component, Sec. 3.7.2 generalized) train once per class.
+component, Sec. 3.7.2 generalized) train once per class, and one backend
+submission simulates each class's ideal distribution once.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from repro.exceptions import SolverError
 from repro.ising.annealer import AnnealResult
 from repro.ising.freeze import decode_spins
 from repro.ising.hamiltonian import IsingHamiltonian
-from repro.ising.symmetry import landscape_class_key
+from repro.ising.symmetry import landscape_class, landscape_frame
 from repro.qaoa.circuits import build_qaoa_template, linear_tag
 from repro.qaoa.executor import (
     EvaluationContext,
@@ -93,6 +94,7 @@ if TYPE_CHECKING:
     from repro.planning.budget import ExecutionBudget
     from repro.planning.planner import FreezePlan
     from repro.planning.pruning import AssignmentRank
+    from repro.utils.memo import BoundedMemo
 
 
 @dataclass(frozen=True)
@@ -416,16 +418,64 @@ def sampling_cap_fallback_anneal(
     )
 
 
-def finish_qaoa_instance(trained: TrainedInstance) -> QAOARunResult:
+def _class_probabilities(
+    hamiltonian: IsingHamiltonian,
+    mask: int,
+    optimization: OptimizationResult,
+    frames: "BoundedMemo | None",
+) -> np.ndarray:
+    """A class member's ideal distribution, read off the class frame.
+
+    Every member rebuilds the same frame to the bit, so one distribution
+    memoized by frame and parameters serves the whole class.
+    """
+    frame = landscape_frame(hamiltonian, mask)
+    gammas, betas = tuple(optimization.gammas), tuple(optimization.betas)
+
+    def simulate() -> np.ndarray:
+        probs = qaoa_probabilities(
+            frame, gammas, betas, spectrum=memoized_spectrum(frame)
+        )
+        probs.flags.writeable = False
+        return probs
+
+    if frames is None:
+        frame_probs = simulate()
+    else:
+        key = (ising_fingerprint(frame), gammas, betas)
+        frame_probs = frames.get_or_build(key, simulate)
+    if mask == 0:
+        return frame_probs
+    return frame_probs[np.arange(frame_probs.size) ^ mask]
+
+
+def finish_qaoa_instance(
+    trained: TrainedInstance,
+    frame_mask: "int | None" = None,
+    frames: "BoundedMemo | None" = None,
+) -> QAOARunResult:
     """Stage 2 of a QAOA run: simulate, sample, and pick the best outcome.
 
     The outcome distribution comes from the fused diagonal QAOA kernel
     (one phase multiply per cost layer against the memoized spectrum).
-    Above the sampling cap the instance is annealed instead
+    A member of a shared landscape class (``frame_mask`` set) simulates
+    the class frame instead of its own instance: its fields flipped by
+    ``frame_mask``, its offset dropped (:func:`repro.ising.landscape_frame`),
+    the same Hamiltonian for every member. It samples that distribution
+    permuted by the mask, ``p[x] = p_frame[x ^ frame_mask]``, under its
+    own noise (fidelity, readout and decoherence flips), shots and RNG
+    stream. ``frames`` memoizes frame distributions by frame and
+    parameters, so one submission simulates each class once; without it
+    each member simulates the frame itself, to the same bits. Above the
+    sampling cap the instance is annealed instead
     (:func:`sampling_cap_fallback_anneal`).
 
     Args:
         trained: Output of :func:`train_qaoa_instance`.
+        frame_mask: Spin flips from the class frame to this instance (see
+            :class:`~repro.backend.JobSpec`); ``None`` (a class of one)
+            simulates the instance itself.
+        frames: Frame-distribution memo shared by one submission's jobs.
     """
     hamiltonian = trained.hamiltonian
     cfg = trained.config
@@ -435,12 +485,17 @@ def finish_qaoa_instance(trained: TrainedInstance) -> QAOARunResult:
     counts: "Counts | None" = None
     if n <= min(cfg.max_sampled_qubits, MAX_SIM_QUBITS):
         opt = trained.optimization
-        ideal_probs = qaoa_probabilities(
-            hamiltonian,
-            opt.gammas,
-            opt.betas,
-            spectrum=memoized_spectrum(hamiltonian),
-        )
+        if frame_mask is None:
+            ideal_probs = qaoa_probabilities(
+                hamiltonian,
+                opt.gammas,
+                opt.betas,
+                spectrum=memoized_spectrum(hamiltonian),
+            )
+        else:
+            ideal_probs = _class_probabilities(
+                hamiltonian, frame_mask, opt, frames
+            )
         if context.noise_model is not None:
             flips = (
                 flip_probabilities_from_factors(context.readout, n)
@@ -597,9 +652,12 @@ class FrozenQubitsResult:
         num_deduplicated: Executed cells that adopted another job's
             trained parameters outright instead of training: a sibling in
             the same landscape class (fields equal up to per-component
-            sign, see :func:`repro.ising.landscape_class_key`), or, in a
+            sign, see :func:`repro.ising.landscape_class`), or, in a
             cached :func:`~repro.core.solve_many` batch, an identical
-            instance's trainer.
+            instance's trainer. A class adopter also samples the class
+            frame's distribution, simulated once per submission, permuted
+            by its flips (``JobSpec.frame_mask``); an adopter that is
+            alone in its own fan-out's class simulates its own instance.
         num_proxy_evaluations: Total objective evaluations spent on
             *proxy* instances (the Red-QAOA path) — separate from
             ``num_optimizer_evaluations``, which stays full-instance-only
@@ -895,11 +953,14 @@ class FrozenQubitsSolver:
         :func:`repro.planning.rank_assignments`) and only the top-k become
         jobs; the rest are recorded as :class:`SkippedAssignment` for the
         classical fallback at finalize time. The executed cells are grouped
-        into landscape classes (:func:`repro.ising.landscape_class_key`):
-        the first cell of each class trains and every other member carries
-        ``params_from`` pointing at it. With warm starts enabled, the first
-        executed cell is the representative and every other class trainer
-        carries ``warm_start_from`` metadata pointing at it.
+        into landscape classes (:func:`repro.ising.landscape_class`): the
+        first cell of each class trains and every other member carries
+        ``params_from`` pointing at it. Every member of a class of two or
+        more, the trainer included, carries its ``frame_mask`` (its spin
+        flips relative to the trainer), so the class samples one simulated
+        distribution. With warm starts enabled, the first executed cell is
+        the representative and every other class trainer carries
+        ``warm_start_from`` metadata pointing at it.
 
         Args:
             hamiltonian: Parent Ising problem.
@@ -1023,19 +1084,26 @@ class FrozenQubitsSolver:
         # every coupling, so those whose fields agree up to sign on every
         # connected component have the same QAOA landscape at every p.
         # The first executed cell of each class trains; the others adopt
-        # its parameters (params_from) and sample on their own streams.
+        # its parameters (params_from). Every member of a class of two or
+        # more samples the class frame's distribution, permuted by its
+        # flips relative to the trainer (frame_mask), on its own stream.
         # Under train_noisy only exactly equal fields group: asymmetric
         # readout breaks the flip symmetry of the noisy objective.
-        trainer_by_class: dict[tuple, str] = {}
+        trainer_by_class: dict[tuple, tuple[str, int]] = {}
         adopts_from: dict[int, str] = {}
+        frame_masks: dict[int, int] = {}
         for sp in executed:
-            class_key = landscape_class_key(
+            class_key, mask = landscape_class(
                 sp.hamiltonian, flips=not cfg.train_noisy
             )
             job_id = f"{job_prefix}sp{sp.index}"
-            trainer = trainer_by_class.setdefault(class_key, job_id)
+            trainer, trainer_mask = trainer_by_class.setdefault(
+                class_key, (job_id, mask)
+            )
+            frame_masks[sp.index] = mask ^ trainer_mask
             if trainer != job_id:
                 adopts_from[sp.index] = trainer
+        shared_classes = set(adopts_from.values())
 
         # Trained-parameter cache hits are restricted to p=1, where
         # training consumes no RNG draws: skipping it leaves each job's
@@ -1105,6 +1173,7 @@ class FrozenQubitsSolver:
                 _assert_own_coefficients(job_template, sp.hamiltonian, support)
             job_id = f"{job_prefix}sp{sp.index}"
             params_from = adopts_from.get(sp.index)
+            shared = params_from is not None or job_id in shared_classes
             warm_source = (
                 representative_id
                 if warm and job_id != representative_id and params_from is None
@@ -1169,6 +1238,7 @@ class FrozenQubitsSolver:
                     params=cached_params,
                     warm_start_from=warm_source,
                     params_from=params_from,
+                    frame_mask=frame_masks[sp.index] if shared else None,
                     proxy=proxy_spec,
                     proxy_from=proxy_from,
                 )

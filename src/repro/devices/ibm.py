@@ -6,8 +6,7 @@ Hummingbird and Washington a 127-qubit Eagle (parametric heavy-hex trimmed
 to the exact qubit counts). Calibrations are *synthetic but seeded per
 backend* inside published IBMQ ranges — the per-machine noise profile is
 what Fig. 13's cross-machine study exercises, and seeding makes every run
-reproducible. Real calibration data cannot be fetched offline; see DESIGN.md
-"Substitutions".
+reproducible. Real calibration data cannot be fetched offline.
 """
 
 from __future__ import annotations

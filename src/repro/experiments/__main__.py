@@ -5,7 +5,7 @@
     REPRO_FULL=1 python -m repro.experiments  # paper-scale sweeps
 
 Runs every ``figure_NN`` builder in order and renders the tables that the
-paper plots; see EXPERIMENTS.md for the paper-vs-measured commentary.
+paper plots.
 """
 
 from __future__ import annotations

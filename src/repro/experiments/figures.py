@@ -1,9 +1,8 @@
 """Data-series builders for every figure of the paper's evaluation.
 
 Each ``figure_NN`` function reproduces the quantities plotted in the
-corresponding figure and returns plain dict rows (see EXPERIMENTS.md for
-the paper-vs-measured comparison). Sizes and seed counts are parameters so
-quick runs and full paper-scale runs share one code path.
+corresponding figure and returns plain dict rows. Sizes and seed counts
+are parameters so quick runs and full paper-scale runs share one code path.
 """
 
 from __future__ import annotations

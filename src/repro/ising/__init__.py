@@ -24,7 +24,9 @@ from repro.ising.symmetry import (
     connected_components,
     count_ground_states,
     has_spin_flip_symmetry,
+    landscape_class,
     landscape_class_key,
+    landscape_frame,
     verify_spin_flip_symmetry,
 )
 
@@ -45,7 +47,9 @@ __all__ = [
     "frozen_assignments",
     "has_spin_flip_symmetry",
     "ising_to_qubo",
+    "landscape_class",
     "landscape_class_key",
+    "landscape_frame",
     "qubo_to_ising",
     "simulated_annealing",
     "verify_spin_flip_symmetry",

@@ -17,7 +17,12 @@ fixes ``|+>^n``, so two Hamiltonians with the same couplings whose fields
 agree up to sign on every component have the same QAOA expectation at
 every ``(gamma, beta)`` and every depth p. :func:`landscape_class_key`
 names that equivalence class, which is how the siblings of one fan-out
-(which share every coupling) share one training run.
+(which share every coupling) share one training run. The flip also maps
+one member's QAOA state onto another's, ``X_mask |psi_frame>``, so the
+members' ideal outcome distributions are permutations of one another,
+``p_member[x] = p_frame[x ^ mask]``: :func:`landscape_class` returns the
+flip mask with the key and :func:`landscape_frame` the Hamiltonian every
+member of a class can simulate instead of its own.
 """
 
 from __future__ import annotations
@@ -73,10 +78,11 @@ def connected_components(
     return components
 
 
-def landscape_class_key(
+def landscape_class(
     hamiltonian: IsingHamiltonian, flips: bool = True
-) -> tuple:
-    """The QAOA landscape class of a Hamiltonian among same-coupling peers.
+) -> tuple[tuple, int]:
+    """The QAOA landscape class of a Hamiltonian among same-coupling peers,
+    and the spin flips that carry it to the class's canonical form.
 
     Each connected component contributes its field vector, negated when
     its first nonzero entry is negative (``flips=True``), so two
@@ -87,21 +93,59 @@ def landscape_class_key(
     only among Hamiltonians that share every coupling (the siblings of one
     fan-out), where the offset shifts the landscape by a constant.
 
+    The mask has bit ``q`` set (the bit order of
+    :meth:`IsingHamiltonian.energy_landscape`) for every qubit of a
+    negated component. Two class members with masks ``a`` and ``b`` differ
+    by the flips ``a ^ b``: ``landscape_frame(member_a, a ^ b)`` equals
+    ``landscape_frame(member_b, 0)``.
+
     Args:
         hamiltonian: The Hamiltonian to classify.
         flips: Canonicalize each component's sign. ``False`` keys on the
-            exact fields — for objectives the flip does not preserve, such
-            as a noisy expectation under asymmetric readout error.
+            exact fields (the mask is then 0) — for objectives the flip
+            does not preserve, such as a noisy expectation under asymmetric
+            readout error.
     """
     fields = hamiltonian.linear.tolist()
     key = []
+    mask = 0
     for members in connected_components(hamiltonian):
         values = [fields[q] for q in members]
         if flips and next((v for v in values if v != 0.0), 0.0) < 0.0:
             values = [-v for v in values]
+            for q in members:
+                mask |= 1 << q
         # Adding +0.0 maps -0.0 to 0.0 and leaves every other value alone.
         key.append(tuple(v + 0.0 for v in values))
-    return tuple(key)
+    return tuple(key), mask
+
+
+def landscape_class_key(
+    hamiltonian: IsingHamiltonian, flips: bool = True
+) -> tuple:
+    """The key of :func:`landscape_class` alone."""
+    return landscape_class(hamiltonian, flips)[0]
+
+
+def landscape_frame(
+    hamiltonian: IsingHamiltonian, mask: int
+) -> IsingHamiltonian:
+    """The Hamiltonian with the spins of ``mask`` flipped and no offset.
+
+    Flipping whole components negates their fields and keeps every
+    coupling; ``-0.0`` fields become ``0.0``. Every member of a landscape
+    class, flipped by its mask relative to one member, yields the same
+    frame to the bit, so each can rebuild the shared frame from its own
+    instance. Its QAOA distribution is the member's permuted:
+    ``p_member[x] = p_frame[x ^ mask]``.
+    """
+    n = hamiltonian.num_qubits
+    signs = np.array([-1.0 if mask >> q & 1 else 1.0 for q in range(n)])
+    return IsingHamiltonian(
+        n,
+        linear=(hamiltonian.linear * signs + 0.0).tolist(),
+        quadratic=hamiltonian.quadratic,
+    )
 
 
 def verify_spin_flip_symmetry(

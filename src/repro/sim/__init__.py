@@ -10,8 +10,7 @@ Three execution fidelities, trading accuracy for scale:
   expectation of an Ising observable is the ideal expectation scaled by a
   circuit fidelity computed from calibration data, plus independent readout
   attenuation. This is the scalable stand-in for the paper's real-hardware
-  runs (see DESIGN.md "Substitutions") and is validated against the
-  trajectory simulator in tests.
+  runs and is validated against the trajectory simulator in tests.
 """
 
 from repro.sim.depolarizing import (

@@ -2,11 +2,13 @@
 
 Flipping every spin of one connected component negates that component's
 fields and keeps every coupling, so the QAOA expectation is unchanged at
-every ``(gamma, beta)`` and depth (Sec. 3.7.2, per component).
-:func:`repro.ising.landscape_class_key` names these classes, and the
-solver trains once per class: the first executed cell of each class
-trains, the other members adopt its parameters (``params_from``) and
-sample on their own seed streams.
+every ``(gamma, beta)`` and depth (Sec. 3.7.2, per component), and the
+ideal distribution is permuted by the flips.
+:func:`repro.ising.landscape_class` names these classes, and the solver
+trains and simulates once per class: the first executed cell of each
+class trains, the other members adopt its parameters (``params_from``),
+and every member samples the class frame's distribution permuted by its
+``frame_mask`` on its own seed stream.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.core.solver as solver_module
 from repro.backend import FaultPolicy, ProcessPoolBackend, SerialBackend
+from repro.backend.base import dependency_levels
 from repro.cache import SolveCache
 from repro.core import FrozenQubitsSolver, SolverConfig
 from repro.devices import get_backend
@@ -26,10 +30,13 @@ from repro.graphs.generators import barabasi_albert_graph
 from repro.ising import (
     IsingHamiltonian,
     connected_components,
+    landscape_class,
     landscape_class_key,
+    landscape_frame,
 )
 from repro.planning import FreezePlan
 from repro.qaoa import evaluate_ideal, make_context
+from repro.sim import qaoa_probabilities
 
 from tests.test_determinism import result_signature
 
@@ -165,6 +172,38 @@ def test_signed_zero_fields_share_one_key():
     )
 
 
+@pytest.mark.parametrize("family", ["forest", "dense", "h-only", "J-only"])
+def test_class_masks_map_members_onto_one_frame(family):
+    rng = np.random.default_rng({"forest": 7, "dense": 8, "h-only": 9,
+                                 "J-only": 10}[family])
+    for _ in range(8):
+        hamiltonian = _random_instance(rng, family)
+        flipped = _negate_fields(hamiltonian, [
+            q
+            for members in connected_components(hamiltonian)
+            if rng.random() < 0.5
+            for q in members
+        ])
+        flipped = flipped.with_offset(float(rng.normal()))
+        key, mask = landscape_class(hamiltonian)
+        flipped_key, flipped_mask = landscape_class(flipped)
+        assert key == flipped_key == landscape_class_key(hamiltonian)
+        relative = mask ^ flipped_mask
+        frame = landscape_frame(hamiltonian, 0)
+        # The member rebuilds the trainer's frame to the bit: one frame
+        # distribution serves the class.
+        assert (landscape_frame(flipped, relative).content_text()
+                == frame.content_text())
+        assert frame.offset == 0.0
+        index = np.arange(1 << hamiltonian.num_qubits)
+        for num_layers in (1, 2):
+            gammas = rng.uniform(-math.pi, math.pi, num_layers)
+            betas = rng.uniform(-math.pi, math.pi, num_layers)
+            frame_probs = qaoa_probabilities(frame, gammas, betas)
+            own = qaoa_probabilities(flipped, gammas, betas)
+            assert np.max(np.abs(frame_probs[index ^ relative] - own)) <= 1e-12
+
+
 # ----------------------------------------------------------------------
 # The solver
 # ----------------------------------------------------------------------
@@ -285,14 +324,38 @@ def test_adoption_is_bit_identical_across_backends_and_cache_modes(tree):
         assert result_signature(result) == expected
 
 
-def test_failed_trainer_leaves_its_adopters_to_train_fresh(tree):
+@pytest.fixture
+def simulations(monkeypatch) -> list:
+    """The solver's in-process ideal-distribution simulations, one entry
+    (the simulated Hamiltonian) per call."""
+    calls = []
+    original = solver_module.qaoa_probabilities
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "qaoa_probabilities", counting)
+    return calls
+
+
+def test_failed_trainer_leaves_its_adopters_to_train_fresh(tree, simulations):
     prepared = _solver(num_frozen=3).prepare_jobs(tree)
     adopters = [job.job_id for job in prepared.jobs if job.params_from == "sp0"]
-    assert adopters
+    assert adopters and prepared.jobs[0].frame_mask == 0
     faulty = replace(P2, fault_injection=FaultInjection(fail_jobs={"sp0": None}))
-    result = _solver(config=faulty, num_frozen=3).solve(
-        tree, backend=SerialBackend(fault_policy=FaultPolicy(max_retries=0))
-    )
+    policy = FaultPolicy(max_retries=0)
+    results = {}
+    for name, backend in (
+        ("process", ProcessPoolBackend(max_workers=2, fault_policy=policy)),
+        ("serial", SerialBackend(fault_policy=policy)),
+    ):
+        simulations.clear()
+        results[name] = _solver(config=faulty, num_frozen=3).solve(
+            tree, backend=backend
+        )
+    result = results["serial"]
+    assert result_signature(result) == result_signature(results["process"])
     assert result.num_failed_jobs == 1
     by_id = {
         f"sp{outcome.subproblem.index}": outcome for outcome in result.outcomes
@@ -301,3 +364,122 @@ def test_failed_trainer_leaves_its_adopters_to_train_fresh(tree):
     for job_id in adopters:
         assert by_id[job_id].source == "quantum"
         assert by_id[job_id].run.optimization.num_gradient_evaluations > 0
+    # The failed trainer never simulates; each of its adopters trains and
+    # simulates on its own, and the other classes still simulate once.
+    assert len(simulations) == _classes(prepared) - 1 + len(adopters)
+
+
+# ----------------------------------------------------------------------
+# Sampling once per class
+# ----------------------------------------------------------------------
+def _components_problem() -> IsingHamiltonian:
+    """Freezing qubits 0 and 1 leaves four components: two charged by the
+    frozen spins ({2, 3} and {4, 5}), a zero-field one ({6, 7, 8}) and an
+    isolated qubit with a fixed negative field (9). The frozen spins' own
+    field and coupling give every cell a different nonzero offset; cells
+    ``++``/``--`` and ``+-``/``-+`` form two classes of two, the second
+    member flipping both charged components."""
+    problem = IsingHamiltonian(
+        10,
+        linear={0: 0.25, 9: -0.7},
+        quadratic={
+            (0, 1): 0.5, (0, 2): 1.0, (2, 3): -1.0, (0, 4): -1.0,
+            (1, 5): 1.0, (4, 5): 1.0, (6, 7): 1.0, (7, 8): -1.0,
+        },
+        offset=1.5,
+    )
+    return problem
+
+
+def _mixed_problem() -> IsingHamiltonian:
+    """Qubit 2 sees both frozen spins (0 and 1) and carries a fixed
+    neighbour field, so ``++`` and ``--`` are classes of one while ``+-``
+    and ``-+`` share a class."""
+    return IsingHamiltonian(
+        6,
+        linear={3: 0.3},
+        quadratic={(0, 2): 1.0, (1, 2): 1.0, (2, 3): -1.0, (1, 4): 1.0,
+                   (4, 5): 1.0},
+    )
+
+
+FREEZE_0_1 = FreezePlan(num_frozen=2, hotspots=(0, 1), prune_symmetric=False)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_members_sample_their_own_distribution_from_the_frame(
+    num_layers, tree, monkeypatch
+):
+    config = replace(P2, num_layers=num_layers)
+    problem = _components_problem()
+    fan_outs = [
+        (FrozenQubitsSolver(plan=FREEZE_0_1, config=config, seed=2,
+                            cache=False), problem),
+        (FrozenQubitsSolver(plan=FREEZE_0_1, config=config, seed=3,
+                            cache=False), _mixed_problem()),
+        (_solver(config=config, num_frozen=3), tree),
+    ]
+    sampled = []
+    original = solver_module.sample_counts
+
+    def recording(probs, *args, **kwargs):
+        sampled.append(np.array(probs))
+        return original(probs, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "sample_counts", recording)
+    members = singletons = 0
+    for solver, instance in fan_outs:
+        jobs = solver.prepare_jobs(instance).jobs
+        by_id = {job.job_id: job for job in jobs}
+        if instance is problem:
+            fields = jobs[0].hamiltonian.linear
+            components = connected_components(jobs[0].hamiltonian)
+            assert len(components) == 4
+            assert any(not fields[list(c)].any() for c in components)
+            assert len({job.hamiltonian.offset for job in jobs}) == 4
+            assert all(job.frame_mask is not None for job in jobs)
+            assert any(job.frame_mask not in (0, None) for job in jobs)
+        sampled.clear()
+        results = SerialBackend().run(jobs)
+        order = [i for level in dependency_levels(jobs) for i in level]
+        assert len(sampled) == len(jobs)
+        for index, probs in zip(order, sampled):
+            job, run = jobs[index], results[index].run
+            own = qaoa_probabilities(
+                job.hamiltonian, run.optimization.gammas, run.optimization.betas
+            )
+            if job.frame_mask is None:
+                # A class of one keeps the direct simulation, bit for bit.
+                assert np.array_equal(probs, own)
+                singletons += 1
+                continue
+            members += 1
+            trainer = by_id[job.params_from] if job.params_from else job
+            assert trainer.frame_mask == 0
+            assert (
+                landscape_frame(job.hamiltonian, job.frame_mask).content_text()
+                == landscape_frame(trainer.hamiltonian, 0).content_text()
+            )
+            assert np.max(np.abs(probs - own)) <= 1e-12
+    assert (members, singletons) == (14, 2)
+
+
+def test_solve_simulates_once_per_class(tree, simulations):
+    config = replace(P2, num_layers=1)
+    device = get_backend("montreal")
+    for solver, instance, singletons in (
+        (FrozenQubitsSolver(plan=FREEZE_0_1, config=config, seed=4,
+                            cache=False), _mixed_problem(), 2),
+        (_solver(config=config, num_frozen=4), tree, 0),
+    ):
+        prepared = solver.prepare_jobs(instance, device)
+        classes = _classes(prepared)
+        assert classes < len(prepared.jobs)
+        assert sum(job.frame_mask is None for job in prepared.jobs) == singletons
+        # Singletons count as classes of one; nothing is reused across
+        # submissions, so an identical second solve simulates as often.
+        simulations.clear()
+        first = result_signature(solver.solve(instance, device))
+        assert len(simulations) == classes
+        assert result_signature(solver.solve(instance, device)) == first
+        assert len(simulations) == 2 * classes

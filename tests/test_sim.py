@@ -346,7 +346,8 @@ class TestTrajectorySimulator:
 
     def test_depolarizing_model_validated_by_trajectories(self):
         """The scalable model and the faithful simulator agree on the noisy
-        expectation within sampling error (DESIGN.md substitution claim)."""
+        expectation within sampling error (the substitution claim of the
+        ``repro.sim`` docstring)."""
         graph = barabasi_albert_graph(5, 1, seed=21)
         h = IsingHamiltonian.from_graph(graph, weights="random_pm1", seed=22)
         circuit = build_qaoa_circuit(h, [0.55], [0.45])
