@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import SolverError
-from repro.ising.freeze import FrozenSpec, freeze_qubits, frozen_assignments
+from repro.ising.freeze import FrozenSpec, freeze_qubits_many, frozen_assignments
 from repro.ising.hamiltonian import IsingHamiltonian
 from repro.ising.symmetry import has_spin_flip_symmetry
 
@@ -26,8 +26,11 @@ class SubProblem:
         index: Position in the canonical ``frozen_assignments`` ordering.
         assignment: The ±1 value substituted for each frozen qubit, aligned
             with ``spec.frozen_qubits``.
-        hamiltonian: The reduced Hamiltonian on ``N - m`` qubits.
-        spec: Index bookkeeping shared by all siblings.
+        hamiltonian: The reduced Hamiltonian on ``N - m`` qubits. Siblings
+            from one :func:`partition_problem` call share its coupling
+            table; only ``h`` and the offset are their own.
+        spec: Index bookkeeping: one object shared by all siblings of a
+            :func:`partition_problem` call.
         mirror_of: Index of the executed twin when this sub-problem was
             pruned by symmetry; ``None`` when it is executed itself.
     """
@@ -50,6 +53,11 @@ def partition_problem(
     prune_symmetric: bool = True,
 ) -> list[SubProblem]:
     """Freeze the given qubits and enumerate all sub-problems.
+
+    One :func:`~repro.ising.freeze.freeze_qubits_many` pass builds every
+    cell: the ``2**m`` sub-problems share one :class:`FrozenSpec` and their
+    Hamiltonians one coupling table, and only ``h`` and the offset are
+    per-cell, each bitwise equal to freezing that assignment alone.
 
     Args:
         hamiltonian: Parent problem.
@@ -74,8 +82,9 @@ def partition_problem(
         )
     assignments = frozen_assignments(m)
     symmetric = prune_symmetric and has_spin_flip_symmetry(hamiltonian)
+    cells, spec = freeze_qubits_many(hamiltonian, frozen_qubits, assignments)
     subproblems: list[SubProblem] = []
-    for index, assignment in enumerate(assignments):
+    for index, (assignment, sub) in enumerate(zip(assignments, cells)):
         mirror_of: "int | None" = None
         if symmetric and m > 0:
             # Negating every frozen value flips every assignment bit, so
@@ -85,7 +94,6 @@ def partition_problem(
             # assignment (the one whose first frozen value is +1).
             if twin_index < index:
                 mirror_of = twin_index
-        sub, spec = freeze_qubits(hamiltonian, frozen_qubits, list(assignment))
         subproblems.append(
             SubProblem(
                 index=index,

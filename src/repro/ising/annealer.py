@@ -6,13 +6,13 @@ Single-spin-flip Metropolis dynamics over a geometric temperature schedule,
 with incremental energy deltas so a sweep costs O(N + |J|) instead of a full
 re-evaluation per flip.
 
-The dynamics run on the batched replica engine
-(:mod:`repro.ising.annealer_batched`): every restart is a replica axis —
+The dynamics run on the flat replica engine
+(:mod:`repro.ising.annealer_batched`): every restart is a replica column
 and, through :func:`~repro.ising.annealer_batched.anneal_many`, every
-sibling Hamiltonian a batch axis — with the per-site Metropolis updates
-done as array operations over a conflict-free color schedule. This module
-holds the result type, the argument validation the engine shares, and the
-single-instance entry point.
+instance of a call adds its sites as rows of one array, with the per-site
+Metropolis updates done as array operations over a conflict-free color
+schedule. This module holds the result type, the argument validation the
+engine shares, and the single-instance entry point.
 """
 
 from __future__ import annotations

@@ -12,14 +12,18 @@ Freezing ``m`` qubits yields ``2**m`` sub-problems whose state-spaces
 partition the original state-space exactly; :func:`decode_spins` maps a
 sub-problem assignment back into the original variable ordering. The
 bookkeeping lives in :class:`FrozenSpec` so solvers and tests can round-trip
-without re-deriving index maps.
+without re-deriving index maps. :func:`freeze_qubits_many` builds all the
+cells of one freezing at once: they share one spec and one reduced coupling
+table, since only ``h`` and the offset depend on the substituted values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from bisect import bisect_left
 from collections.abc import Sequence
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.exceptions import FreezeError
 from repro.ising.hamiltonian import IsingHamiltonian
@@ -55,27 +59,25 @@ class FrozenSpec:
         """Sub-problem qubit count, ``N - m``."""
         return len(self.kept_qubits)
 
-    @cached_property
-    def _sub_index_by_original(self) -> dict[int, int]:
-        # O(1) lookups for the freeze hot path: freeze_qubits calls
-        # sub_index once per quadratic term, so a linear tuple.index scan
-        # here made freezing O(E*N) — ruinous on power-law instances with
-        # thousands of nodes. (cached_property writes through __dict__, so
-        # it coexists with the frozen dataclass.)
-        return {original: pos for pos, original in enumerate(self.kept_qubits)}
-
     def sub_index(self, original_qubit: int) -> int:
         """Sub-problem index of an original (kept) qubit.
+
+        A binary search of the ascending ``kept_qubits``: the spec is shared
+        by every cell of a partition and kept by recursive plans, so it
+        carries no per-qubit lookup table.
 
         Raises:
             FreezeError: If the qubit was frozen or is out of range.
         """
-        try:
-            return self._sub_index_by_original[original_qubit]
-        except KeyError as exc:
+        position = bisect_left(self.kept_qubits, original_qubit)
+        if (
+            position == len(self.kept_qubits)
+            or self.kept_qubits[position] != original_qubit
+        ):
             raise FreezeError(
                 f"original qubit {original_qubit} is frozen or out of range"
-            ) from exc
+            )
+        return position
 
 
 def _build_spec(num_qubits: int, frozen: Sequence[int]) -> FrozenSpec:
@@ -115,6 +117,8 @@ def freeze_qubits(
 ) -> tuple[IsingHamiltonian, FrozenSpec]:
     """Freeze several qubits at once.
 
+    The one-assignment case of :func:`freeze_qubits_many`.
+
     Args:
         hamiltonian: The parent problem.
         qubits: Original indices to freeze (no duplicates).
@@ -126,49 +130,84 @@ def freeze_qubits(
     Raises:
         FreezeError: On index or value errors.
     """
-    if len(qubits) != len(values):
-        raise FreezeError(
-            f"got {len(qubits)} qubits but {len(values)} values to substitute"
-        )
-    for value in values:
-        if value not in (-1, 1):
-            raise FreezeError(f"substituted value must be +1 or -1, got {value}")
+    cells, spec = freeze_qubits_many(hamiltonian, qubits, [values])
+    return cells[0], spec
+
+
+def freeze_qubits_many(
+    hamiltonian: IsingHamiltonian,
+    qubits: Sequence[int],
+    assignments: Sequence[Sequence[int]],
+) -> tuple[list[IsingHamiltonian], FrozenSpec]:
+    """Freeze the same qubits under each of several assignments.
+
+    The cells of one freezing differ only in ``h`` and the offset (Table
+    2): the spec and the reduced couplings depend on *which* qubits are
+    frozen, not on their values. Both are computed once and shared, every
+    cell holding the one coupling table. Each cell's ``h`` and offset are
+    accumulated term by term in the parent's coupling order, so every cell
+    is bitwise what freezing it alone would give.
+
+    Args:
+        hamiltonian: The parent problem.
+        qubits: Original indices to freeze (no duplicates).
+        assignments: Per cell, the substituted ±1 value of each frozen
+            qubit, aligned with `qubits`.
+
+    Returns:
+        ``(cells, spec)``: one sub-Hamiltonian per assignment, in order,
+        and the index maps they all share.
+
+    Raises:
+        FreezeError: On index or value errors.
+    """
+    assignments = [tuple(values) for values in assignments]
+    for values in assignments:
+        if len(qubits) != len(values):
+            raise FreezeError(
+                f"got {len(qubits)} qubits but {len(values)} values to substitute"
+            )
+        for value in values:
+            if value not in (-1, 1):
+                raise FreezeError(
+                    f"substituted value must be +1 or -1, got {value}"
+                )
     spec = _build_spec(hamiltonian.num_qubits, qubits)
-    assignment = dict(zip(qubits, values))
+    position = {original: index for index, original in enumerate(spec.kept_qubits)}
+    slot = {qubit: t for t, qubit in enumerate(qubits)}
 
     h = hamiltonian.linear
-    offset = hamiltonian.offset
-    # offset absorbs a*h_k for every frozen qubit (Table 2).
-    for qubit, value in assignment.items():
-        offset += value * h[qubit]
-    new_linear: dict[int, float] = {}
-    new_quadratic: dict[tuple[int, int], float] = {}
-    for new_index, original in enumerate(spec.kept_qubits):
-        if h[original] != 0.0:
-            new_linear[new_index] = float(h[original])
+    # A zero field is stored as 0.0, never -0.0.
+    kept_linear = [float(h[q]) if h[q] != 0.0 else 0.0 for q in spec.kept_qubits]
+    quadratic: dict[tuple[int, int], float] = {}
+    to_field: list[tuple[int, int, float]] = []  # (kept index, slot, J)
+    to_offset: list[tuple[int, int, float]] = []  # (slot, slot, J)
     for (i, j), coupling in hamiltonian.quadratic.items():
-        i_frozen = i in assignment
-        j_frozen = j in assignment
-        if i_frozen and j_frozen:
-            # Both endpoints fixed: the term is a constant a_i * a_j * J_ij.
-            offset += assignment[i] * assignment[j] * coupling
-        elif i_frozen:
-            new_index = spec.sub_index(j)
-            new_linear[new_index] = (
-                new_linear.get(new_index, 0.0) + assignment[i] * coupling
-            )
-        elif j_frozen:
-            new_index = spec.sub_index(i)
-            new_linear[new_index] = (
-                new_linear.get(new_index, 0.0) + assignment[j] * coupling
-            )
+        i_slot, j_slot = slot.get(i), slot.get(j)
+        if i_slot is None and j_slot is None:
+            quadratic[(position[i], position[j])] = coupling
+        elif i_slot is None:
+            to_field.append((position[i], j_slot, coupling))
+        elif j_slot is None:
+            to_field.append((position[j], i_slot, coupling))
         else:
-            key = (spec.sub_index(i), spec.sub_index(j))
-            new_quadratic[key] = coupling
-    sub = IsingHamiltonian(
-        spec.num_kept, linear=new_linear, quadratic=new_quadratic, offset=offset
-    )
-    return sub, spec
+            # Both endpoints fixed: the term is a constant a_i * a_j * J_ij.
+            to_offset.append((i_slot, j_slot, coupling))
+
+    shared = IsingHamiltonian(spec.num_kept, quadratic=quadratic)
+    cells = []
+    for values in assignments:
+        # offset absorbs a*h_k for every frozen qubit (Table 2).
+        offset = hamiltonian.offset
+        for qubit, value in zip(qubits, values):
+            offset += value * h[qubit]
+        for i_slot, j_slot, coupling in to_offset:
+            offset += values[i_slot] * values[j_slot] * coupling
+        linear = list(kept_linear)
+        for index, j_slot, coupling in to_field:
+            linear[index] = linear[index] + values[j_slot] * coupling
+        cells.append(shared.with_fields(np.array(linear, dtype=float), offset))
+    return cells, spec
 
 
 class FrozenAssignments(Sequence):

@@ -2,8 +2,10 @@
 
 ``C(z) = sum_i h_i z_i + sum_{i<j} J_ij z_i z_j + offset`` over spins
 ``z_i in {-1, +1}``. Linear coefficients live in a dense vector ``h``;
-quadratic coefficients in a dict keyed by ``(i, j)`` with ``i < j``. The
-class is immutable-by-convention: transforms return new instances.
+quadratic coefficients in a coupling table of two read-only arrays, the
+``(i, j)`` pairs with ``i < j`` and their values, which ``quadratic``
+hands out as a dict. The class is immutable-by-convention: transforms
+return new instances, and instances may share one coupling table.
 """
 
 from __future__ import annotations
@@ -15,6 +17,27 @@ import numpy as np
 from repro.exceptions import HamiltonianError
 from repro.graphs.model import ProblemGraph
 from repro.utils.rng import ensure_rng
+
+#: The coupling table of every edge-free instance.
+_NO_PAIRS = np.zeros((0, 2), dtype=np.int64)
+_NO_COUPLINGS = np.zeros(0)
+_NO_PAIRS.setflags(write=False)
+_NO_COUPLINGS.setflags(write=False)
+
+
+def _coupling_table(terms: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A normalised ``{(i, j): J}`` dict as read-only ``(pairs, values)``.
+
+    Two arrays hold a term in 24 bytes, where a dict entry with its tuple
+    key and int objects takes over 100.
+    """
+    if not terms:
+        return _NO_PAIRS, _NO_COUPLINGS
+    pairs = np.array(list(terms), dtype=np.int64)
+    values = np.array(list(terms.values()), dtype=float)
+    pairs.setflags(write=False)
+    values.setflags(write=False)
+    return pairs, values
 
 
 class IsingHamiltonian:
@@ -54,7 +77,7 @@ class IsingHamiltonian:
                         f"expected {num_qubits}"
                     )
                 self._h = np.asarray(values, dtype=float)
-        self._J: dict[tuple[int, int], float] = {}
+        terms: dict[tuple[int, int], float] = {}
         if quadratic is not None:
             for (i, j), value in quadratic.items():
                 self._check_qubit(i)
@@ -62,10 +85,11 @@ class IsingHamiltonian:
                 if i == j:
                     raise HamiltonianError(f"diagonal term ({i}, {j}) is not allowed")
                 key = (min(i, j), max(i, j))
-                if key in self._J:
+                if key in terms:
                     raise HamiltonianError(f"duplicate quadratic term for pair {key}")
                 if value != 0.0:
-                    self._J[key] = float(value)
+                    terms[key] = float(value)
+        self._pairs, self._couplings = _coupling_table(terms)
         self._offset = float(offset)
         # Energy-spectrum memo (see energy_landscape): 2**n floats, built
         # lazily, safe because the class is immutable-by-convention.
@@ -141,13 +165,17 @@ class IsingHamiltonian:
 
     @property
     def quadratic(self) -> dict[tuple[int, int], float]:
-        """Copy of the quadratic coefficient dict ``{(i, j): J_ij}``, i < j."""
-        return dict(self._J)
+        """The quadratic coefficients as a new dict ``{(i, j): J_ij}``, i < j."""
+        return dict(self._terms())
 
     @property
     def num_terms(self) -> int:
         """Number of non-zero quadratic terms, the paper's ``|J|``."""
-        return len(self._J)
+        return len(self._couplings)
+
+    def _terms(self) -> "Iterable[tuple[tuple[int, int], float]]":
+        """``((i, j), J_ij)`` in table order, as Python ints and floats."""
+        return zip(map(tuple, self._pairs.tolist()), self._couplings.tolist())
 
     def linear_coefficient(self, i: int) -> float:
         """The coefficient ``h_i``."""
@@ -160,7 +188,10 @@ class IsingHamiltonian:
         self._check_qubit(j)
         if i == j:
             raise HamiltonianError("no diagonal quadratic coefficients exist")
-        return self._J.get((min(i, j), max(i, j)), 0.0)
+        hit = np.flatnonzero(
+            (self._pairs[:, 0] == min(i, j)) & (self._pairs[:, 1] == max(i, j))
+        )
+        return float(self._couplings[hit[0]]) if hit.size else 0.0
 
     def has_zero_linear(self, tolerance: float = 0.0) -> bool:
         """True when every ``|h_i| <= tolerance`` — the paper's symmetry condition."""
@@ -169,23 +200,19 @@ class IsingHamiltonian:
     def degree(self, i: int) -> int:
         """Number of quadratic terms touching qubit ``i``."""
         self._check_qubit(i)
-        return sum(1 for (a, b) in self._J if a == i or b == i)
+        return int(np.count_nonzero(self._pairs == i))
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Qubits coupled to qubit ``i`` by a non-zero J."""
         self._check_qubit(i)
-        out = []
-        for a, b in self._J:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
+        pairs = self._pairs
+        out = pairs[pairs[:, 0] == i, 1].tolist() + pairs[pairs[:, 1] == i, 0].tolist()
         return tuple(sorted(out))
 
     def to_graph(self) -> ProblemGraph:
         """Problem graph whose edges are the non-zero quadratic terms."""
         return ProblemGraph(
-            self._num_qubits, [(i, j, J) for (i, j), J in self._J.items()]
+            self._num_qubits, [(i, j, J) for (i, j), J in self._terms()]
         )
 
     # ------------------------------------------------------------------
@@ -205,7 +232,7 @@ class IsingHamiltonian:
         if not np.all(np.abs(z) == 1.0):
             raise HamiltonianError("spins must be +1 or -1")
         value = float(self._h @ z) + self._offset
-        for (i, j), coupling in self._J.items():
+        for (i, j), coupling in self._terms():
             value += coupling * z[i] * z[j]
         return value
 
@@ -224,10 +251,9 @@ class IsingHamiltonian:
                 f"expected shape (batch, {self._num_qubits}), got {z.shape}"
             )
         values = z @ self._h + self._offset
-        if self._J:
-            pairs = np.asarray(list(self._J.keys()), dtype=int)
-            couplings = np.asarray(list(self._J.values()), dtype=float)
-            values = values + (z[:, pairs[:, 0]] * z[:, pairs[:, 1]]) @ couplings
+        if len(self._couplings):
+            pairs = self._pairs
+            values = values + (z[:, pairs[:, 0]] * z[:, pairs[:, 1]]) @ self._couplings
         return values
 
     def energy_landscape(self) -> np.ndarray:
@@ -256,7 +282,7 @@ class IsingHamiltonian:
         # Couplings grouped by their higher-indexed endpoint: qubit k's
         # contribution depends only on the spins of qubits j < k.
         lower: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for (i, j), coupling in self._J.items():
+        for (i, j), coupling in self._terms():
             lower[j].append((i, coupling))
         landscape = np.full(1, self._offset)
         for k in range(n):
@@ -282,16 +308,36 @@ class IsingHamiltonian:
     # ------------------------------------------------------------------
     # Algebra
     # ------------------------------------------------------------------
+    def with_fields(self, linear: np.ndarray, offset: float) -> "IsingHamiltonian":
+        """An instance with new fields and offset and this one's couplings.
+
+        The new instance shares this one's coupling table, so the cells of
+        one partition hold the table once. It keeps ``linear`` (a float
+        vector of length ``num_qubits``) without copying it.
+        """
+        linear = np.asarray(linear, dtype=float)
+        if linear.shape != (self._num_qubits,):
+            raise HamiltonianError(
+                f"expected {self._num_qubits} fields, got shape {linear.shape}"
+            )
+        instance = IsingHamiltonian.__new__(IsingHamiltonian)
+        instance._num_qubits = self._num_qubits
+        instance._h = linear
+        instance._pairs, instance._couplings = self._pairs, self._couplings
+        instance._offset = float(offset)
+        instance._landscape = None
+        return instance
+
     def with_offset(self, offset: float) -> "IsingHamiltonian":
         """Copy with the offset replaced."""
-        return IsingHamiltonian(self._num_qubits, self._h, self._J, offset)
+        return self.with_fields(self._h.copy(), offset)
 
     def scaled(self, factor: float) -> "IsingHamiltonian":
         """Copy with every coefficient (h, J, offset) multiplied by ``factor``."""
         return IsingHamiltonian(
             self._num_qubits,
             self._h * factor,
-            {k: v * factor for k, v in self._J.items()},
+            {k: v * factor for k, v in self._terms()},
             self._offset * factor,
         )
 
@@ -301,14 +347,14 @@ class IsingHamiltonian:
         return (
             self._num_qubits == other._num_qubits
             and np.array_equal(self._h, other._h)
-            and self._J == other._J
+            and self.quadratic == other.quadratic
             and self._offset == other._offset
         )
 
     def __repr__(self) -> str:
         return (
             f"IsingHamiltonian(num_qubits={self._num_qubits}, "
-            f"|J|={len(self._J)}, offset={self._offset})"
+            f"|J|={self.num_terms}, offset={self._offset})"
         )
 
     def __getstate__(self) -> dict:
@@ -333,7 +379,7 @@ class IsingHamiltonian:
 
         linear = ",".join(tok(v) for v in self._h)
         quadratic = ",".join(
-            f"{i}:{j}:{tok(v)}" for (i, j), v in sorted(self._J.items())
+            f"{i}:{j}:{tok(v)}" for (i, j), v in sorted(self._terms())
         )
         return (
             f"n={self._num_qubits}|h={linear}|J={quadratic}|"
@@ -345,7 +391,7 @@ class IsingHamiltonian:
         return {
             "num_qubits": self._num_qubits,
             "linear": self._h.tolist(),
-            "quadratic": [[i, j, J] for (i, j), J in self._J.items()],
+            "quadratic": [[i, j, J] for (i, j), J in self._terms()],
             "offset": self._offset,
         }
 

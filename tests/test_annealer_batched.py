@@ -6,9 +6,10 @@ Covers the engine's four core contracts:
   ``evaluate_many`` after every sweep;
 * **validity** — batched best energies can never beat the brute-force
   minimum, and reported spins always evaluate to the reported value;
-* **reproducibility** — seeded runs are deterministic, and a sibling's
-  result is independent of batch composition (the property the batch-aware
-  cache memo relies on);
+* **reproducibility** — seeded runs are deterministic, and an instance's
+  result is independent of batch composition, on batches mixing many
+  topologies as on sibling fan-outs (the property the batch-aware cache
+  memo relies on; a slow Hypothesis property draws random mixed batches);
 * **quality parity** — the batched engine matches the per-spin scalar
   Metropolis oracle (``tests/scalar_annealer.py``) on mean best energy
   within noise on seeded power-law instances.
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend.process_pool import ProcessPoolBackend
 from repro.backend.serial import SerialBackend
@@ -61,6 +64,49 @@ def _sibling_cells(n: int = 12, m: int = 2, seed: int = 3):
     return [sp.hamiltonian for sp in executed_subproblems(parts)]
 
 
+def _gaussian(num_qubits: int, edges, seed: int) -> IsingHamiltonian:
+    """Gaussian couplings, fields and offset on the given edges."""
+    rng = np.random.default_rng(seed)
+    return IsingHamiltonian(
+        num_qubits,
+        linear=rng.normal(size=num_qubits),
+        quadratic={(u, v): float(rng.normal()) for u, v in edges},
+        offset=float(rng.normal()),
+    )
+
+
+def _mixed_batch() -> list[IsingHamiltonian]:
+    """30 instances over 15 topologies of 1 to 60 spins.
+
+    A 1-spin and an edge-free instance, chains, BA attachments 1-3 with
+    +-1 and Gaussian weights on each graph (repeated topologies), and one
+    sibling fan-out; the Gaussian instances and the siblings carry
+    nonzero ``h``, and the Gaussian ones nonzero offsets.
+    """
+    batch = [
+        IsingHamiltonian(1, linear=[0.7], offset=-0.25),
+        IsingHamiltonian(
+            6, linear=[1.0, -2.0, 0.0, 0.5, -0.5, 0.25], offset=2.0
+        ),
+    ]
+    for n in (2, 7, 23):
+        chain = [(i, i + 1) for i in range(n - 1)]
+        batch.append(
+            IsingHamiltonian(n, quadratic={edge: -1.0 for edge in chain})
+        )
+        batch.append(_gaussian(n, chain, seed=n))
+    for attachment in (1, 2, 3):
+        for n in (5, 18, 60):
+            seed = 10 * attachment + n
+            batch.append(_powerlaw(n, attachment, seed))
+            graph = barabasi_albert_graph(n, attachment=attachment, seed=seed)
+            batch.append(
+                _gaussian(n, [(u, v) for u, v, _ in graph.edges()], seed)
+            )
+    batch.extend(_sibling_cells(n=14, m=2, seed=7))
+    return batch
+
+
 class TestStructure:
     def test_color_classes_are_conflict_free(self):
         h = _powerlaw(40, 3, seed=9)
@@ -94,21 +140,25 @@ class TestStructure:
 
 class TestBookkeeping:
     def test_incremental_energy_matches_evaluate_many_every_sweep(self):
-        cells = _sibling_cells(n=14, m=2, seed=7)
+        batch = _mixed_batch()
         checked = []
 
         def check(sweep, spins, energies):
-            n, batch, replicas = spins.shape
-            for b in range(batch):
-                reference = cells[b].evaluate_many(spins[:, b, :].T)
+            assert len(spins) == len(batch)
+            assert energies.shape == (len(batch), 3)
+            for b, (hamiltonian, instance_spins) in enumerate(
+                zip(batch, spins)
+            ):
+                assert instance_spins.shape == (hamiltonian.num_qubits, 3)
+                reference = hamiltonian.evaluate_many(instance_spins.T)
                 np.testing.assert_allclose(
                     reference, energies[b], rtol=0, atol=1e-9
                 )
             checked.append(sweep)
 
         anneal_many(
-            cells, num_sweeps=25, num_restarts=3,
-            seeds=list(range(1, len(cells) + 1)), sweep_callback=check,
+            batch, num_sweeps=25, num_restarts=3,
+            seeds=list(range(1, len(batch) + 1)), sweep_callback=check,
         )
         assert checked == list(range(25))
 
@@ -156,16 +206,17 @@ class TestReproducibility:
         )
 
     def test_mixed_topology_batch_matches_solo(self):
-        a = _powerlaw(9, 1, seed=1)
-        b = _powerlaw(12, 2, seed=2)
-        mixed = anneal_many([a, b, a], num_sweeps=20, num_restarts=2,
-                            seeds=[4, 5, 6])
-        assert mixed[0] == anneal_many([a], num_sweeps=20, num_restarts=2,
-                                       seeds=[4])[0]
-        assert mixed[1] == anneal_many([b], num_sweeps=20, num_restarts=2,
-                                       seeds=[5])[0]
-        assert mixed[2] == anneal_many([a], num_sweeps=20, num_restarts=2,
-                                       seeds=[6])[0]
+        batch = _mixed_batch()
+        topologies = {
+            (h.num_qubits, tuple(sorted(h.quadratic))) for h in batch
+        }
+        assert len(batch) >= 30 and len(topologies) >= 10
+        seeds = [100 + i for i in range(len(batch))]
+        mixed = anneal_many(batch, num_sweeps=20, num_restarts=2, seeds=seeds)
+        for hamiltonian, seed, result in zip(batch, seeds, mixed):
+            assert result == anneal_many(
+                [hamiltonian], num_sweeps=20, num_restarts=2, seeds=[seed]
+            )[0]
 
     def test_parent_seed_spawns_deterministically(self):
         cells = _sibling_cells()
@@ -182,6 +233,57 @@ class TestReproducibility:
         h = _powerlaw(8, 1, seed=3)
         with pytest.raises(HamiltonianError):
             anneal_many([h, h], seeds=[1])
+
+
+@st.composite
+def _anneal_instances(draw) -> IsingHamiltonian:
+    """Any size 1-40, topology, weight family, fields and offset."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    kind = draw(st.sampled_from(("edge-free", "chain", "ba", "random")))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    rng = np.random.default_rng(seed)
+    if kind == "chain":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif kind == "ba" and n > 1:
+        attachment = min(draw(st.integers(1, 3)), n - 1)
+        graph = barabasi_albert_graph(n, attachment=attachment, seed=seed)
+        edges = [(u, v) for u, v, _ in graph.edges()]
+    elif kind == "random":
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.2]
+    else:
+        edges = []
+    weights = (rng.normal(size=len(edges)) if draw(st.booleans())
+               else rng.choice((-1.0, 1.0), size=len(edges)))
+    linear = rng.normal(size=n) if draw(st.booleans()) else np.zeros(n)
+    offset = draw(st.floats(-5, 5, allow_nan=False, allow_infinity=False))
+    return IsingHamiltonian(
+        n, linear=linear, quadratic=dict(zip(edges, weights.tolist())),
+        offset=offset,
+    )
+
+
+@pytest.mark.slow
+class TestFlatEngineProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        batch=st.lists(_anneal_instances(), min_size=1, max_size=8),
+        num_sweeps=st.integers(min_value=1, max_value=30),
+        num_restarts=st.integers(min_value=1, max_value=4),
+        data=st.data(),
+    )
+    def test_random_mixed_batch_matches_solo_and_evaluates(
+        self, batch, num_sweeps, num_restarts, data
+    ):
+        seeds = data.draw(st.lists(
+            st.integers(min_value=0, max_value=2**31 - 1),
+            min_size=len(batch), max_size=len(batch),
+        ))
+        params = {"num_sweeps": num_sweeps, "num_restarts": num_restarts}
+        results = anneal_many(batch, seeds=seeds, **params)
+        for hamiltonian, seed, result in zip(batch, seeds, results):
+            assert result == anneal_many([hamiltonian], seeds=[seed], **params)[0]
+            assert abs(result.value - hamiltonian.evaluate(result.spins)) <= 1e-9
 
 
 class TestValidationAndEdgeCases:

@@ -25,11 +25,35 @@ from repro.core.solver import run_qaoa_instance
 from repro.devices import get_backend
 from repro.exceptions import SolverError
 from repro.graphs.generators import barabasi_albert_graph, star_graph
-from repro.ising import IsingHamiltonian, brute_force_minimum
+from repro.ising import IsingHamiltonian, brute_force_minimum, freeze_qubits
 from repro.qaoa import approximation_ratio_gap
 from repro.utils.bitstrings import bits_to_spins, int_to_bits
 
 FAST = SolverConfig(shots=1024, grid_resolution=8, maxiter=30)
+
+
+def _substituted(h, frozen, values):
+    """Table 2 term by term, in the parent's coupling order."""
+    kept = [q for q in range(h.num_qubits) if q not in frozen]
+    index = {q: i for i, q in enumerate(kept)}
+    value = dict(zip(frozen, values))
+    parent = h.linear
+    linear = {index[q]: float(parent[q]) for q in kept if parent[q] != 0.0}
+    offset = h.offset
+    for q in frozen:
+        offset += value[q] * parent[q]
+    quadratic = {}
+    for (i, j), coupling in h.quadratic.items():
+        if i in value and j in value:
+            offset += value[i] * value[j] * coupling
+        elif i in value or j in value:
+            free, fixed = (j, i) if i in value else (i, j)
+            linear[index[free]] = (
+                linear.get(index[free], 0.0) + value[fixed] * coupling
+            )
+        else:
+            quadratic[(index[i], index[j])] = coupling
+    return IsingHamiltonian(len(kept), linear, quadratic, offset)
 
 
 class TestHotspots:
@@ -141,6 +165,37 @@ class TestPartition:
             parts[0].spec.sub_index(q) for q in neighbors
         )
         assert support == expected
+
+    def test_siblings_share_one_spec_and_coupling_table(self):
+        rng = np.random.default_rng(8)
+        for seed in range(4):
+            graph = barabasi_albert_graph(16, 3, seed=seed)
+            h = IsingHamiltonian(
+                16,
+                linear=rng.normal(size=16),
+                quadratic={(u, v): float(rng.normal())
+                           for u, v, _ in graph.edges()},
+                offset=float(rng.normal()),
+            )
+            frozen = select_hotspots(h, 3)
+            assert any(
+                (min(a, b), max(a, b)) in h.quadratic
+                for a in frozen for b in frozen if a != b
+            )
+            parts = partition_problem(h, frozen)
+            assert len({id(sp.spec) for sp in parts}) == 1
+            assert len({id(sp.hamiltonian._pairs) for sp in parts}) == 1
+            assert len({id(sp.hamiltonian._couplings) for sp in parts}) == 1
+            for sp in parts:
+                alone, spec = freeze_qubits(h, frozen, sp.assignment)
+                assert spec == sp.spec
+                assert sp.hamiltonian == alone
+                assert (sp.hamiltonian.linear.tobytes()
+                        == alone.linear.tobytes())
+                assert sp.hamiltonian.offset.hex() == alone.offset.hex()
+                assert sp.hamiltonian.content_text() == _substituted(
+                    h, frozen, sp.assignment
+                ).content_text()
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())

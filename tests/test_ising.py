@@ -236,7 +236,7 @@ class TestFreezing:
             frozen_assignments(MAX_FROZEN_QUBITS + 1)
 
     def test_sub_index_matches_linear_scan(self):
-        # Regression pin for the O(1) sub-index map: identical answers to
+        # Regression pin for the sub-index lookup: identical answers to
         # the historical tuple.index scan, including the error cases.
         h = IsingHamiltonian(97, quadratic={(0, 96): 1.0})
         __, spec = freeze_qubits(h, [5, 41, 90], [1, -1, 1])
