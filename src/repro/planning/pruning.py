@@ -32,6 +32,11 @@ from repro.utils.rng import ensure_rng, spawn_seeds
 if TYPE_CHECKING:
     from repro.cache.store import SolveCache
 
+#: Annealing sweeps and restarts per probe — intentionally few. Both enter
+#: the anneal cache key, so changing them cold-starts cached probes.
+PROBE_SWEEPS = 60
+PROBE_RESTARTS = 1
+
 
 @dataclass(frozen=True)
 class AssignmentRank:
@@ -62,37 +67,10 @@ def offset_lower_bound(subproblem: SubProblem) -> float:
     )
 
 
-def qaoa1_grid_minima(
-    subproblems: "list[SubProblem]", resolution: int = 8
-) -> list[float]:
-    """Best p=1 closed-form expectation of each cell over a coarse grid.
-
-    A trainability signal for the ``probe="qaoa1"`` ranking mode: every
-    cell's whole ``resolution**2`` (gamma, beta) grid is evaluated in one
-    batched analytic kernel call (:func:`repro.qaoa.analytic.
-    qaoa1_expectations_batch`), so probing the full fan-out costs a few
-    vectorized trig passes rather than ``cells x resolution**2`` scalar
-    closed-form evaluations.
-    """
-    from repro.qaoa.analytic import qaoa1_expectations_batch
-    from repro.qaoa.optimizer import DEFAULT_BETA_RANGE, DEFAULT_GAMMA_RANGE
-
-    gammas = np.repeat(np.linspace(*DEFAULT_GAMMA_RANGE, resolution), resolution)
-    betas = np.tile(np.linspace(*DEFAULT_BETA_RANGE, resolution), resolution)
-    return [
-        float(np.min(qaoa1_expectations_batch(sp.hamiltonian, gammas, betas)))
-        for sp in subproblems
-    ]
-
-
 def rank_assignments(
     subproblems: "list[SubProblem]",
     seed: "int | np.random.Generator | None" = None,
-    probe_sweeps: int = 60,
-    probe_restarts: int = 1,
     cache: "SolveCache | None" = None,
-    probe: str = "anneal",
-    qaoa_resolution: int = 8,
 ) -> list[AssignmentRank]:
     """Rank executed cells best-first by their classical probe value.
 
@@ -101,26 +79,16 @@ def rank_assignments(
             a partition).
         seed: RNG for the probes; each cell gets its own spawned child
             stream so the ranking is order-independent.
-        probe_sweeps: Annealing sweeps per probe — intentionally small.
-        probe_restarts: Annealing restarts per probe.
         cache: Optional solve cache; each probe is a seeded anneal, so a
             repeated sweep answers its probes from cache bit-identically
             (per cell — the batch-aware memo answers hits individually
             and anneals only the misses).
-        probe: ``"anneal"`` (default) ranks by the annealing probe's best
-            cost; ``"qaoa1"`` ranks by what a trained p=1 QAOA could
-            actually reach — the batched closed-form grid minimum of each
-            cell (see :func:`qaoa1_grid_minima`) — with the annealing
-            probe retained as tie-break and classical-fallback floor.
-        qaoa_resolution: Grid points per axis for the ``"qaoa1"`` probe.
 
     Returns:
         One :class:`AssignmentRank` per input cell, most promising first,
         with a deterministic index tie-break keeping the ranking
         reproducible.
     """
-    if probe not in ("anneal", "qaoa1"):
-        raise ValueError(f"unknown probe mode {probe!r}")
     rng = ensure_rng(seed)
     probe_seeds = spawn_seeds(rng, len(subproblems))
     # All cells in one engine call: siblings share J, so the batched core
@@ -128,8 +96,8 @@ def rank_assignments(
     # (cells x replicas) array program.
     probes = cached_anneal_many(
         [sp.hamiltonian for sp in subproblems],
-        num_sweeps=probe_sweeps,
-        num_restarts=probe_restarts,
+        num_sweeps=PROBE_SWEEPS,
+        num_restarts=PROBE_RESTARTS,
         seeds=probe_seeds,
         cache=cache,
     )
@@ -143,16 +111,5 @@ def rank_assignments(
                 probe_spins=anneal_probe.spins,
             )
         )
-    if probe == "qaoa1":
-        minima = dict(
-            zip(
-                (sp.index for sp in subproblems),
-                qaoa1_grid_minima(subproblems, resolution=qaoa_resolution),
-            )
-        )
-        ranks.sort(
-            key=lambda r: (minima[r.index], r.probe_value, r.lower_bound, r.index)
-        )
-    else:
-        ranks.sort(key=lambda r: (r.probe_value, r.lower_bound, r.index))
+    ranks.sort(key=lambda r: (r.probe_value, r.lower_bound, r.index))
     return ranks

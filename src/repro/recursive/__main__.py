@@ -114,7 +114,7 @@ def main(argv: "list[str] | None" = None) -> int:
     stats = result.tree.stats
     print(
         f"instance: {args.nodes} nodes (BA attachment={args.attachment}, "
-        f"seed={args.seed}), {len(hamiltonian.quadratic)} couplings"
+        f"seed={args.seed}), {hamiltonian.num_terms} couplings"
     )
     print(
         f"tree: {stats.get('nodes', 0)} nodes — "

@@ -211,7 +211,7 @@ class FreezeTree:
             if node.kind not in NODE_KINDS:
                 raise RecursiveError(f"unknown node kind {node.kind!r}")
             if node.kind == "closed":
-                if node.hamiltonian.quadratic:
+                if node.hamiltonian.num_terms:
                     raise RecursiveError(
                         f"closed node {node.path} still has quadratic terms"
                     )
@@ -402,7 +402,7 @@ def plan_tree(
         )
 
     def build(h: IsingHamiltonian, path: str, depth: int) -> FreezeNode:
-        if not h.quadratic:
+        if not h.num_terms:
             count("closed", depth)
             return FreezeNode(kind="closed", path=path, depth=depth,
                               hamiltonian=h)

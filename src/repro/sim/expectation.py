@@ -119,7 +119,7 @@ def term_sign_matrix(
     z_qubits = np.asarray([q for q in range(n) if h[q] != 0.0], dtype=np.intp)
     pairs = np.asarray(
         list(hamiltonian.quadratic.keys()), dtype=np.intp
-    ).reshape(len(hamiltonian.quadratic), 2)
+    ).reshape(hamiltonian.num_terms, 2)
 
     def spins_of(qubit: int) -> np.ndarray:
         bits = (indices >> np.uint32(qubit)) & 1

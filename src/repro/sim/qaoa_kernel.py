@@ -8,17 +8,18 @@ A p-layer QAOA circuit is ``(RX-mixer . diagonal-cost)^p`` applied to
 so instead of walking the gate list (one RZ per linear term, one RZZ per
 quadratic term — ``O(|terms|)`` tensor multiplies per layer), precompute
 the ``2**n`` energy spectrum once per Hamiltonian and apply each cost
-layer as a *single* elementwise phase multiply. The RX mixer keeps its
-per-qubit tensor contraction (the same 2x2 matrix on every wire). The
-expectation then reads directly off the final distribution as
-``probs @ spectrum`` — no gate objects, no circuit binding, no Python
-per-gate dispatch.
+layer as a *single* elementwise phase multiply. The RX mixer is one
+in-place update per wire (:func:`_apply_mixer`), and one layer loop
+(:func:`_evolve`) serves sampling, parameter batches and the forward pass
+of the adjoint gradient. The expectation then reads directly off the
+final distribution as ``probs @ spectrum`` — no gate objects, no circuit
+binding, no Python per-gate dispatch.
 
 This is the p>=2 training fast path: exact (it agrees with
 :func:`repro.sim.statevector.simulate_statevector` on the bound template
-to ~1e-15, property-tested), memory-bounded by chunking batches, and fed
-by the memoized spectrum (:meth:`IsingHamiltonian.energy_landscape`),
-whose trade-off is 2**n floats held per Hamiltonian.
+to ~1e-15, property-tested) and fed by the memoized spectrum
+(:meth:`IsingHamiltonian.energy_landscape`), whose trade-off is 2**n
+floats held per Hamiltonian.
 """
 
 from __future__ import annotations
@@ -27,15 +28,7 @@ import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.ising.hamiltonian import IsingHamiltonian
-from repro.sim.batched import _apply_single_batched
-from repro.sim.statevector import (
-    MAX_SIM_QUBITS,
-    _apply_single,
-    uniform_superposition,
-)
-
-#: Soft cap on (batch chunk) x 2**n complex amplitudes held at once.
-BATCH_CHUNK_AMPLITUDES = 1 << 23
+from repro.sim.statevector import MAX_SIM_QUBITS, uniform_superposition
 
 
 def _validated_angles(
@@ -79,11 +72,32 @@ def _phase_spectrum(
     return table - hamiltonian.offset
 
 
-def _mixer_matrix(beta: float) -> np.ndarray:
-    # RX(2*beta) per wire: [[cos b, -i sin b], [-i sin b, cos b]].
+def _apply_mixer(tensor: np.ndarray, beta: float, scratch: np.ndarray) -> None:
+    """Apply ``U_B(beta) = prod_q RX(2*beta)_q`` to a state tensor in place.
+
+    ``RX(2b) = cos(b) I - i sin(b) X`` per wire, and ``X`` on a length-2
+    axis is ``np.flip`` (a view, no copy) — so each wire costs one multiply
+    into ``scratch`` (a buffer of the tensor's shape) and two in-place
+    updates, with no temporary per wire.
+    """
     c = np.cos(beta)
     s = -1j * np.sin(beta)
-    return np.array([[c, s], [s, c]], dtype=complex)
+    for axis in range(tensor.ndim):
+        np.multiply(np.flip(tensor, axis), s, out=scratch)
+        tensor *= c
+        tensor += scratch
+
+
+def _evolve(
+    state: np.ndarray, phases: np.ndarray, gammas: np.ndarray, betas: np.ndarray
+) -> None:
+    """Run the p cost/mixer layers on a ``(2**n,)`` statevector in place."""
+    num_qubits = state.size.bit_length() - 1  # state.size == 2**n
+    tensor = state.reshape((2,) * num_qubits)
+    scratch = np.empty_like(tensor)
+    for gamma, beta in zip(gammas, betas):
+        state *= np.exp(-1j * gamma * phases)
+        _apply_mixer(tensor, beta, scratch)
 
 
 def qaoa_statevector(
@@ -103,15 +117,8 @@ def qaoa_statevector(
     """
     g, b = _validated_angles(gammas, betas, batched=False)
     phases = _phase_spectrum(hamiltonian, spectrum)
-    n = hamiltonian.num_qubits
-    state = uniform_superposition(n)
-    for layer in range(g.shape[0]):
-        state *= np.exp(-1j * g[layer] * phases)
-        tensor = state.reshape((2,) * n)
-        matrix = _mixer_matrix(b[layer])
-        for qubit in range(n):
-            tensor = _apply_single(tensor, matrix, n - 1 - qubit)
-        state = tensor.reshape(-1)
+    state = uniform_superposition(hamiltonian.num_qubits)
+    _evolve(state, phases, g, b)
     return state
 
 
@@ -134,45 +141,17 @@ def qaoa_statevectors_batch(
 ) -> np.ndarray:
     """Final statevectors of a ``(P, p)`` parameter batch, shape ``(P, 2**n)``.
 
-    One fused pass serves the whole batch: the cost layer is a broadcast
-    phase multiply, the mixer a stacked ``(chunk, 2, 2)`` contraction per
-    qubit. Chunked so the live amplitude block stays under
-    ``BATCH_CHUNK_AMPLITUDES`` regardless of batch size.
+    Each row evolves in place inside the output under the shared phase
+    spectrum, by the same layer loop as :func:`qaoa_statevector`, so a row
+    equals the single-point call bit for bit and the only block held is
+    the output itself.
     """
     g, b = _validated_angles(gammas, betas, batched=True)
     phases = _phase_spectrum(hamiltonian, spectrum)
-    n = hamiltonian.num_qubits
-    size = 1 << n
-    points = g.shape[0]
-    out = np.empty((points, size), dtype=complex)
-    chunk = max(1, BATCH_CHUNK_AMPLITUDES // size)
-    for start in range(0, points, chunk):
-        stop = min(start + chunk, points)
-        out[start:stop] = _batch_chunk(g[start:stop], b[start:stop], phases, n)
+    out = uniform_superposition(hamiltonian.num_qubits, batch=g.shape[0])
+    for row, row_gammas, row_betas in zip(out, g, b):
+        _evolve(row, phases, row_gammas, row_betas)
     return out
-
-
-def _batch_chunk(
-    g: np.ndarray, b: np.ndarray, phases: np.ndarray, n: int
-) -> np.ndarray:
-    # One chunk of a parameter batch: every row evolves under the same
-    # spectrum ``phases`` (2**n,), broadcast across the batch axis.
-    batch = g.shape[0]
-    state = uniform_superposition(n, batch=batch)
-    for layer in range(g.shape[1]):
-        state *= np.exp(-1j * g[:, layer, None] * phases)
-        tensor = state.reshape((batch,) + (2,) * n)
-        c = np.cos(b[:, layer])
-        s = -1j * np.sin(b[:, layer])
-        matrices = np.empty((batch, 2, 2), dtype=complex)
-        matrices[:, 0, 0] = c
-        matrices[:, 0, 1] = s
-        matrices[:, 1, 0] = s
-        matrices[:, 1, 1] = c
-        for qubit in range(n):
-            tensor = _apply_single_batched(tensor, matrices, n - 1 - qubit)
-        state = tensor.reshape(batch, -1)
-    return state
 
 
 def qaoa_probabilities_batch(
@@ -203,33 +182,17 @@ def qaoa_expectations_batch(
     return probs @ table
 
 
-def _sum_bit_flips(tensor: np.ndarray, n: int) -> np.ndarray:
-    """Apply the mixer generator ``B = sum_q X_q`` to a state tensor.
+def _sum_bit_flips(tensor: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the mixer generator ``B = sum_q X_q`` applied to a state tensor.
 
     ``X_q`` swaps the two slices of axis ``q``, which on a length-2 axis is
-    exactly ``np.flip`` — so ``B |psi>`` is the sum of one flip per wire.
+    exactly ``np.flip`` — so ``B |psi>`` is the sum of one flip per wire,
+    accumulated into ``out`` (a buffer of the tensor's shape).
     """
-    out = np.zeros_like(tensor)
-    for axis in range(n):
+    out.fill(0)
+    for axis in range(tensor.ndim):
         out += np.flip(tensor, axis=axis)
     return out
-
-
-def _apply_mixer_flips(tensor: np.ndarray, n: int, beta: float) -> np.ndarray:
-    """Apply ``U_B(beta) = prod_q RX(2*beta)_q`` to a state tensor.
-
-    ``RX(2b) = cos(b) I - i sin(b) X`` per wire, and ``X`` on a length-2
-    axis is ``np.flip`` (a view, no copy) — so each wire costs one fused
-    elementwise update instead of the axis-permuting 2x2 contraction of
-    ``_apply_single``. This keeps the adjoint pass within a small constant
-    of one forward evolution, which is what the training-engine wall-clock
-    gate rests on.
-    """
-    c = np.cos(beta)
-    s = -1j * np.sin(beta)
-    for axis in range(n):
-        tensor = c * tensor + s * np.flip(tensor, axis=axis)
-    return tensor
 
 
 def qaoa_value_and_grad(
@@ -253,7 +216,10 @@ def qaoa_value_and_grad(
 
     Total cost is two statevector evolutions — ``O(p * n * 2**n)`` for the
     objective *and* all ``2p`` derivatives, versus one full evolution per
-    parameter per finite-difference probe.
+    parameter per finite-difference probe. The forward pass is the layer
+    loop sampling runs (:func:`_evolve`); the reverse pass un-applies each
+    mixer with the same in-place :func:`_apply_mixer`, and both states
+    share one scratch buffer.
 
     Args:
         hamiltonian: Problem Hamiltonian (defines the cost diagonal).
@@ -286,28 +252,23 @@ def qaoa_value_and_grad(
             f"observable must have length {1 << n}, got {observable.shape}"
         )
     p = g.shape[0]
-    shape = (2,) * n
-    # Forward pass with the flip-based mixer (same circuit as
-    # ``qaoa_statevector``, cheaper per wire).
     state = uniform_superposition(n)
-    for layer in range(p):
-        state *= np.exp(-1j * g[layer] * phases)
-        state = _apply_mixer_flips(state.reshape(shape), n, b[layer]).reshape(-1)
+    _evolve(state, phases, g, b)
     adjoint = observable * state
     value = float(np.real(np.vdot(state, adjoint)))
+    state_tensor = state.reshape((2,) * n)
+    adjoint_tensor = adjoint.reshape((2,) * n)
+    scratch = np.empty_like(state_tensor)
     grad_g = np.empty(p)
     grad_b = np.empty(p)
     for layer in range(p - 1, -1, -1):
         # Mixer derivative at the post-mixer point, then un-apply RX(-2b)
         # from both states (the inverse mixer flips the sine's sign).
-        state_tensor = state.reshape(shape)
         grad_b[layer] = 2.0 * float(
-            np.imag(np.vdot(adjoint, _sum_bit_flips(state_tensor, n).reshape(-1)))
+            np.imag(np.vdot(adjoint, _sum_bit_flips(state_tensor, scratch)))
         )
-        state = _apply_mixer_flips(state_tensor, n, -b[layer]).reshape(-1)
-        adjoint = _apply_mixer_flips(
-            adjoint.reshape(shape), n, -b[layer]
-        ).reshape(-1)
+        _apply_mixer(state_tensor, -b[layer], scratch)
+        _apply_mixer(adjoint_tensor, -b[layer], scratch)
         # Cost derivative at the post-cost point (the phase diagonal
         # commutes with its own generator), then un-apply the phases.
         grad_g[layer] = 2.0 * float(np.imag(np.vdot(adjoint, phases * state)))

@@ -41,33 +41,25 @@ def diagonal_broadcast(
     """Reshape a gate diagonal so ``tensor *= ...`` applies it in place.
 
     Diagonal gates (RZ, RZZ, CZ, ...) need no matmul: multiplying the state
-    tensor by the broadcast diagonal is exact and copy-free — the fast path
-    for QAOA cost layers. Supports an optional leading batch axis: pass a
-    ``(B, 2)``/``(B, 4)`` diagonal with ``ndim`` counting the batch axis
-    and 1-based item axes.
+    tensor by the broadcast diagonal is exact and copy-free.
 
     Args:
-        diag: Length-2 (or 4) gate diagonal, optionally with a leading
-            batch dimension.
+        diag: Length-2 (or 4) gate diagonal.
         ndim: Rank of the target state tensor.
         axis_a: Tensor axis of the gate's first qubit.
         axis_b: Tensor axis of the second qubit (two-qubit diagonals only).
     """
-    batched = diag.ndim == 2
     shape = [1] * ndim
-    if batched:
-        shape[0] = diag.shape[0]
+    shape[axis_a] = 2
     if axis_b is None:
-        shape[axis_a] = 2
         return diag.reshape(shape)
     # Two-qubit diagonal d[2i + j]: i belongs on axis_a, j on axis_b. A
     # plain reshape puts the C-order-outer bit on the earlier axis, so
     # transpose first when axis_b comes earlier.
-    shape[axis_a] = 2
     shape[axis_b] = 2
-    pair = diag.reshape((-1, 2, 2) if batched else (2, 2))
+    pair = diag.reshape(2, 2)
     if axis_a > axis_b:
-        pair = pair.swapaxes(-1, -2)
+        pair = pair.T
     return pair.reshape(shape)
 
 

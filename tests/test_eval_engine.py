@@ -5,8 +5,9 @@ Three layers of agreement, all against independent per-point oracles:
 * the batched p=1 closed form (``QAOA1Structure`` /
   ``qaoa1_expectations_batch``) vs the per-point Python loop of
   ``qaoa1_term_expectations``;
-* the fused diagonal statevector kernel (``sim/qaoa_kernel``) vs the
-  gate-by-gate ``simulate_statevector`` on the bound template;
+* the fused diagonal statevector kernel (``sim/qaoa_kernel``) and its one
+  in-place RX mixer vs the gate-by-gate ``simulate_statevector`` on the
+  bound template (batch rows equal single-point calls bit for bit);
 * the ``evaluate_batch`` objective (and the optimizer/scan paths built on
   it) vs ``reference_expectation`` (``tests/conftest.py``): the per-term
   closed form at p=1, the gate-level statevector at p>=2, and noise folded
@@ -26,11 +27,11 @@ import numpy as np
 import pytest
 
 from repro.cache.memo import memoized_spectrum
+from repro.circuit.circuit import QuantumCircuit
 from repro.devices import get_backend
 from repro.exceptions import QAOAError, SimulationError
 from repro.graphs.generators import barabasi_albert_graph
 from repro.ising.hamiltonian import IsingHamiltonian
-from repro.planning.pruning import rank_assignments
 from repro.qaoa import (
     QAOA1Structure,
     batch_objective,
@@ -47,6 +48,7 @@ from repro.qaoa import (
     value_and_grad_objective,
 )
 from repro.sim.qaoa_kernel import (
+    _apply_mixer,
     qaoa_expectations_batch,
     qaoa_probabilities,
     qaoa_probabilities_batch,
@@ -187,14 +189,18 @@ class TestFusedKernel:
         assert np.max(np.abs(reference - fused)) < TOL
 
     def test_batch_rows_match_single_calls(self):
-        h = random_powerlaw_instance(23, num_qubits=5)
+        # Batch rows run the single-point layer loop, so they agree bit
+        # for bit, not merely to TOL.
         rng = np.random.default_rng(29)
-        G = rng.uniform(-2, 2, (7, 2))
-        B = rng.uniform(-2, 2, (7, 2))
-        batch = qaoa_probabilities_batch(h, G, B)
-        for row in range(7):
-            single = qaoa_probabilities(h, G[row], B[row])
-            np.testing.assert_allclose(batch[row], single, atol=TOL, rtol=0)
+        instances = [random_powerlaw_instance(23, num_qubits=5), *EDGE_CASES]
+        for h in instances:
+            for num_layers in (1, 2, 3):
+                G = rng.uniform(-2, 2, (7, num_layers))
+                B = rng.uniform(-2, 2, (7, num_layers))
+                batch = qaoa_probabilities_batch(h, G, B)
+                for row in range(7):
+                    single = qaoa_probabilities(h, G[row], B[row])
+                    assert np.array_equal(batch[row], single)
 
     def test_expectations_batch_matches_dense_reference(self):
         from repro.sim import expectation_from_probabilities
@@ -218,6 +224,55 @@ class TestFusedKernel:
         h = EDGE_CASES[1]
         with pytest.raises(SimulationError):
             qaoa_statevector(h, [0.1], [0.2], spectrum=np.zeros(3))
+
+
+class TestApplyMixer:
+    """The one RX mixer that sampling, batches and the adjoint share."""
+
+    @staticmethod
+    def _random_tensor(rng, num_qubits):
+        state = rng.normal(size=1 << num_qubits) + 1j * rng.normal(
+            size=1 << num_qubits
+        )
+        return (state / np.linalg.norm(state)).reshape((2,) * num_qubits)
+
+    @staticmethod
+    def _per_wire_oracle(tensor, beta):
+        c, s = np.cos(beta), -1j * np.sin(beta)
+        for axis in range(tensor.ndim):
+            tensor = c * tensor + s * np.flip(tensor, axis=axis)
+        return tensor
+
+    @pytest.mark.parametrize(
+        "beta",
+        [0.0, np.pi / 2, -1.3, float(np.random.default_rng(83).uniform(-3, 3))],
+    )
+    def test_matches_gate_loop_and_per_wire_formula(self, beta):
+        rng = np.random.default_rng(89)
+        for num_qubits in range(1, 11):
+            tensor = self._random_tensor(rng, num_qubits)
+            start = tensor.copy()
+            layer = QuantumCircuit(num_qubits)
+            for qubit in range(num_qubits):
+                layer.rx(2.0 * beta, qubit)
+            reference = simulate_statevector(
+                layer, initial_state=start.reshape(-1)
+            )
+            _apply_mixer(tensor, beta, np.empty_like(tensor))
+            # In place: the input holds the mixed state.
+            assert np.max(np.abs(tensor.reshape(-1) - reference)) < TOL
+            assert np.array_equal(tensor, self._per_wire_oracle(start, beta))
+
+    def test_reused_scratch_gives_same_bits(self):
+        rng = np.random.default_rng(97)
+        for num_qubits in range(1, 11):
+            scratch = np.full((2,) * num_qubits, np.nan, dtype=complex)
+            for beta in (0.4, -1.3, 2.9):
+                tensor = self._random_tensor(rng, num_qubits)
+                fresh = tensor.copy()
+                _apply_mixer(tensor, beta, scratch)
+                _apply_mixer(fresh, beta, np.empty_like(fresh))
+                assert np.array_equal(tensor, fresh)
 
 
 class TestEvaluateBatch:
@@ -351,35 +406,6 @@ class TestSpectrumMemo:
         b = random_powerlaw_instance(71, num_qubits=5)
         assert a is not b and a == b
         assert memoized_spectrum(a) is memoized_spectrum(b)
-
-
-class TestPlannerProbe:
-    def _cells(self):
-        from repro.core.hotspots import select_hotspots
-        from repro.core.partition import (
-            executed_subproblems,
-            partition_problem,
-        )
-
-        h = random_powerlaw_instance(73, num_qubits=8)
-        hotspots = select_hotspots(h, 3)
-        parts = partition_problem(h, hotspots, prune_symmetric=False)
-        return executed_subproblems(parts)
-
-    def test_qaoa1_probe_ranks_all_cells_deterministically(self):
-        cells = self._cells()
-        first = rank_assignments(cells, seed=5, probe="qaoa1")
-        second = rank_assignments(cells, seed=5, probe="qaoa1")
-        assert [r.index for r in first] == [r.index for r in second]
-        assert sorted(r.index for r in first) == sorted(
-            sp.index for sp in cells
-        )
-        # The anneal probe stays attached for the fallback floor.
-        assert all(r.probe_spins for r in first)
-
-    def test_unknown_probe_rejected(self):
-        with pytest.raises(ValueError):
-            rank_assignments(self._cells(), probe="nope")
 
 
 class TestSharpnessCurve:

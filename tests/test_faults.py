@@ -23,7 +23,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import process_pool
@@ -599,31 +599,51 @@ class TestSolverDegradation:
         assert recovered.num_job_retries == 3
 
     @given(fault_seed=st.integers(0, 2**31 - 1))
+    # Job sp0 draws below 0.3 on all eight attempts at this seed.
+    @example(fault_seed=6804240)
     @settings(max_examples=8, deadline=None)
     def test_property_recovered_runs_pin_the_fault_free_run(self, fault_seed):
-        """(seed, policy, plan) -> bit-identical whenever retries succeed."""
+        """(seed, policy, plan) -> bit-identical whenever retries succeed.
+
+        A job exhausts the budget only if all eight of its draws fall
+        below p (0.3^8, about one seed in 7,600 per job), so the plan's
+        own draws name the jobs that must come back failed; a seed that
+        names none must reconverge bitwise.
+        """
         problem = _problem(6, seed=17)
         base = FrozenQubitsSolver(num_frozen=1, config=FAST, seed=5).solve(
             problem, backend=SerialBackend()
         )
+        plan = FaultInjection(seed=fault_seed, fail_probability=0.3)
+        policy = FaultPolicy(max_retries=7)
+        prepared = FrozenQubitsSolver(
+            num_frozen=1, config=FAST, seed=5
+        ).prepare_jobs(problem)
+        exhausted = {
+            sp.index
+            for sp, job in zip(prepared.executed, prepared.jobs)
+            if all(
+                deterministic_uniform(fault_seed, job.job_id, attempt)
+                < plan.fail_probability
+                for attempt in range(policy.max_retries + 1)
+            )
+        }
         config = SolverConfig(
             shots=FAST.shots,
             grid_resolution=FAST.grid_resolution,
             maxiter=FAST.maxiter,
-            fault_injection=FaultInjection(
-                seed=fault_seed, fail_probability=0.3
-            ),
+            fault_injection=plan,
         )
-        # A big retry budget makes exhaustion astronomically unlikely
-        # (p = 0.3^8), so every draw pattern must reconverge bitwise.
         result = FrozenQubitsSolver(
             num_frozen=1, config=config, seed=5
-        ).solve(
-            problem,
-            backend=SerialBackend(fault_policy=FaultPolicy(max_retries=7)),
-        )
-        assert result.num_failed_jobs == 0
-        assert _signature(base) == _signature(result)
+        ).solve(problem, backend=SerialBackend(fault_policy=policy))
+        assert result.num_failed_jobs == len(exhausted)
+        failed = [o for o in result.outcomes if o.source == "failed"]
+        assert {o.subproblem.index for o in failed} == exhausted
+        for outcome in failed:
+            assert problem.evaluate(outcome.best_spins) == outcome.best_value
+        if not exhausted:
+            assert _signature(base) == _signature(result)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ Three layers of evidence:
 * the adjoint-mode kernel (``qaoa_value_and_grad``) and the closed-form
   p=1 derivatives (``qaoa1_expectation_and_grad``) agree with central
   finite differences to <= 1e-8 on seeded power-law instances and on the
-  h-only / J-only / isolated-qubit / noisy-weights edge cases;
+  h-only / J-only / isolated-qubit / noisy-weights edge cases, and the
+  adjoint kernel's value and gradients are pinned bit for bit
+  (``ADJOINT_PINS``) on three seeded instances at p = 1, 2, 3;
 * the two gradient paths agree with each other at p=1, and the returned
   values match the independent per-point oracles (``reference_expectation``
   in ``tests/conftest.py``: per-term closed form at p=1, gate-level
@@ -354,3 +356,86 @@ class TestSolverIntegration:
         serial = _solve_fingerprint(self._solve("serial"))
         process = _solve_fingerprint(self._solve("process"))
         assert serial == process
+
+
+#: ``float.hex`` tokens of ``qaoa_value_and_grad``'s value, gammas-gradient
+#: and betas-gradient, keyed by (instance seed, qubits, p). Any change to
+#: the forward evolution, the mixer or the reverse pass that moves one bit
+#: of training shows here.
+ADJOINT_PINS = {
+    (3, 5, 1): (
+        "0x1.2a80667a4880fp+0",
+        "0x1.fb5585c6172b0p+0",
+        "0x1.4bf0b3b454bc1p+2",
+    ),
+    (3, 5, 2): (
+        "0x1.87cac47f68dbcp-3",
+        "0x1.63656bb392c50p-1",
+        "-0x1.3e1f35a54526ep+1",
+        "-0x1.00d3fad1c475ap+2",
+        "0x1.a4cb97f0c33d4p-1",
+    ),
+    (3, 5, 3): (
+        "-0x1.c20a22eea11cap-1",
+        "0x1.63262cd63cce2p+3",
+        "-0x1.4a3f70175d488p-1",
+        "-0x1.aaf84cb11c000p-8",
+        "0x1.3eca62689a53fp+0",
+        "0x1.bc5f893eab54cp-1",
+        "-0x1.787deb6d8ef28p+2",
+    ),
+    (5, 8, 1): (
+        "-0x1.5aacfdee33c7fp-3",
+        "0x1.9515328fd8726p+1",
+        "-0x1.bc881f0f2e79ap+1",
+    ),
+    (5, 8, 2): (
+        "0x1.1719525e95a7dp-4",
+        "-0x1.68ae386c23c4cp+1",
+        "-0x1.924fbffe828d4p+0",
+        "0x1.bf7f5e4bd2ea4p-2",
+        "-0x1.9b849728215f9p+0",
+    ),
+    (5, 8, 3): (
+        "-0x1.a3fc3ad9d81c4p+0",
+        "-0x1.15618150271e6p+2",
+        "-0x1.67c9d222a2c44p+1",
+        "-0x1.a493e5beb8704p+1",
+        "-0x1.94359e204f436p+3",
+        "0x1.34acc76011a97p-3",
+        "-0x1.be07c37d1818ep+0",
+    ),
+    (7, 10, 1): (
+        "-0x1.12cab1fcfa4afp+1",
+        "0x1.7effbd93ccf56p+0",
+        "-0x1.279d11840afd3p+0",
+    ),
+    (7, 10, 2): (
+        "-0x1.5e78d84165cd6p+1",
+        "0x1.dd3addb42fc18p+1",
+        "0x1.65ef87206674dp+0",
+        "0x1.52871a7b9bc00p-8",
+        "0x1.190fa9d334ca9p+3",
+    ),
+    (7, 10, 3): (
+        "0x1.deae78b99d36fp-1",
+        "-0x1.0e6d07b330daap+4",
+        "-0x1.aa9875f1517d8p-1",
+        "-0x1.24b13066fe220p-3",
+        "-0x1.928c896a52d02p+0",
+        "-0x1.1cbc6bf3ce2efp+3",
+        "-0x1.1ce6e1dd5696ap+3",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(ADJOINT_PINS))
+def test_value_and_grad_bits_stay_stable(key):
+    seed, num_qubits, num_layers = key
+    h = random_powerlaw_instance(seed, num_qubits=num_qubits)
+    rng = np.random.default_rng(100 * seed + num_layers)
+    gammas = rng.uniform(-2, 2, num_layers)
+    betas = rng.uniform(-2, 2, num_layers)
+    value, grad_g, grad_b = qaoa_value_and_grad(h, gammas, betas)
+    tokens = tuple(float(x).hex() for x in (value, *grad_g, *grad_b))
+    assert tokens == ADJOINT_PINS[key]
