@@ -12,10 +12,10 @@ Determinism contract: a job's entire stochastic behaviour is governed by
 ``ensure_rng(spec.seed)`` and MUST NOT share generator state across jobs —
 that is what makes ``SerialBackend`` and ``ProcessPoolBackend`` produce
 bit-identical results from the same solver seed. The one thing jobs share
-is a landscape class's simulated frame distribution (``spec.frame_mask``):
-:func:`execute_jobs_serially` memoizes it for one submission and pool
-workers re-simulate it per job; it is a pure function of the frame and
-the parameters, so both give the same bits.
+is a landscape class's simulated frame, kept as its outcome table
+(``spec.frame_mask``): :func:`execute_jobs_serially` memoizes it for one
+submission and pool workers re-simulate it per job; it is a pure function
+of the frame and the parameters, so both give the same bits.
 
 Dependency contract: a job whose ``spec.warm_start_from`` (optimizer
 seeding), ``spec.params_from`` (parameter adoption), or ``spec.proxy_from``
@@ -66,7 +66,7 @@ from repro.qaoa.executor import NoiseProfile, make_context
 from repro.transpile.compiler import TranspiledCircuit
 from repro.utils.memo import BoundedMemo
 
-#: Frame distributions one serial submission keeps: every class of a
+#: Frame outcome tables one serial submission keeps: every class of a
 #: 16-cell fan-out, 8 MB at 16 qubits.
 FRAME_MEMO_ENTRIES = 16
 
@@ -114,7 +114,8 @@ class JobSpec:
             spin flips (bit ``q`` = qubit ``q``) from the class frame — the
             trainer's fields and couplings, offset dropped — to this job's
             instance; the trainer carries 0. The job samples the frame's
-            ideal distribution permuted by the mask (see
+            ideal distribution permuted by the mask: it draws from the
+            frame's outcome table through the mask (see
             :func:`~repro.core.solver.finish_qaoa_instance`), so a
             submission simulates each class once. ``None`` — a class of
             one — simulates the job's own instance.
@@ -291,7 +292,7 @@ def execute_job(
     the fault-injection harness only — the job's own stochastic behaviour
     is governed entirely by ``spec.seed``, which is what keeps a
     successful retry bit-identical to a successful first attempt.
-    ``frames`` is the submission's landscape-class distribution memo (see
+    ``frames`` is the submission's landscape-class table memo (see
     :func:`execute_jobs_serially`); ``None`` simulates every frame anew.
     """
     started = time.perf_counter()
@@ -551,9 +552,9 @@ def execute_jobs_serially(
     progress streams out of a running submission.
 
     The members of a landscape class (``spec.frame_mask`` set) share one
-    simulated frame distribution through a memo that lives for this call
-    only. It is bounded, so a batch of many problems cannot hold every
-    class's ``2**n`` distribution at once; a miss re-simulates the frame,
+    simulated frame's outcome table through a memo that lives for this
+    call only. It is bounded, so a batch of many problems cannot hold
+    every class's ``2**n`` table at once; a miss re-simulates the frame,
     to the same bits.
     """
     jobs = list(jobs)

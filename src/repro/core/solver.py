@@ -77,7 +77,7 @@ from repro.qaoa.executor import (
 from repro.qaoa.optimizer import OptimizationResult, optimize_qaoa
 from repro.sim.depolarizing import flip_probabilities_from_factors, noisy_counts
 from repro.sim.qaoa_kernel import qaoa_probabilities
-from repro.sim.sampling import Counts, sample_counts
+from repro.sim.sampling import Counts, OutcomeTable, sample_counts
 from repro.sim.statevector import MAX_SIM_QUBITS
 from repro.transpile.compiler import (
     TranspileOptions,
@@ -418,35 +418,33 @@ def sampling_cap_fallback_anneal(
     )
 
 
-def _class_probabilities(
+def _class_table(
     hamiltonian: IsingHamiltonian,
     mask: int,
     optimization: OptimizationResult,
     frames: "BoundedMemo | None",
-) -> np.ndarray:
-    """A class member's ideal distribution, read off the class frame.
+) -> OutcomeTable:
+    """A class member's outcome table: the class frame's, read through the
+    member's mask.
 
-    Every member rebuilds the same frame to the bit, so one distribution
-    memoized by frame and parameters serves the whole class.
+    Every member rebuilds the same frame to the bit, so one table memoized
+    by frame and parameters serves the whole class.
     """
     frame = landscape_frame(hamiltonian, mask)
     gammas, betas = tuple(optimization.gammas), tuple(optimization.betas)
 
-    def simulate() -> np.ndarray:
+    def build() -> OutcomeTable:
         probs = qaoa_probabilities(
             frame, gammas, betas, spectrum=memoized_spectrum(frame)
         )
-        probs.flags.writeable = False
-        return probs
+        return OutcomeTable(probs, frame.num_qubits)
 
     if frames is None:
-        frame_probs = simulate()
+        table = build()
     else:
         key = (ising_fingerprint(frame), gammas, betas)
-        frame_probs = frames.get_or_build(key, simulate)
-    if mask == 0:
-        return frame_probs
-    return frame_probs[np.arange(frame_probs.size) ^ mask]
+        table = frames.get_or_build(key, build)
+    return table.masked(mask)
 
 
 def finish_qaoa_instance(
@@ -457,17 +455,20 @@ def finish_qaoa_instance(
     """Stage 2 of a QAOA run: simulate, sample, and pick the best outcome.
 
     The outcome distribution comes from the fused diagonal QAOA kernel
-    (one phase multiply per cost layer against the memoized spectrum).
-    A member of a shared landscape class (``frame_mask`` set) simulates
-    the class frame instead of its own instance: its fields flipped by
-    ``frame_mask``, its offset dropped (:func:`repro.ising.landscape_frame`),
-    the same Hamiltonian for every member. It samples that distribution
-    permuted by the mask, ``p[x] = p_frame[x ^ frame_mask]``, under its
-    own noise (fidelity, readout and decoherence flips), shots and RNG
-    stream. ``frames`` memoizes frame distributions by frame and
-    parameters, so one submission simulates each class once; without it
-    each member simulates the frame itself, to the same bits. Above the
-    sampling cap the instance is annealed instead
+    (one phase multiply per cost layer against the memoized spectrum) and
+    is sampled through its cumulative table
+    (:class:`~repro.sim.sampling.OutcomeTable`), at a cost per shot that
+    does not grow with ``2**n``. A member of a shared landscape class
+    (``frame_mask`` set) simulates the class frame instead of its own
+    instance: its fields flipped by ``frame_mask``, its offset dropped
+    (:func:`repro.ising.landscape_frame`), the same Hamiltonian for every
+    member. It draws from the frame's table through the mask, which
+    samples ``p[x] = p_frame[x ^ frame_mask]``, under its own noise
+    (fidelity, readout and decoherence flips), shots and RNG stream.
+    ``frames`` memoizes frame tables by frame and parameters, so one
+    submission simulates each class once; without it (process-pool
+    workers) each member builds the frame's table itself, to the same
+    bits. Above the sampling cap the instance is annealed instead
     (:func:`sampling_cap_fallback_anneal`).
 
     Args:
@@ -475,7 +476,7 @@ def finish_qaoa_instance(
         frame_mask: Spin flips from the class frame to this instance (see
             :class:`~repro.backend.JobSpec`); ``None`` (a class of one)
             simulates the instance itself.
-        frames: Frame-distribution memo shared by one submission's jobs.
+        frames: Frame-table memo shared by one submission's jobs.
     """
     hamiltonian = trained.hamiltonian
     cfg = trained.config
@@ -486,16 +487,17 @@ def finish_qaoa_instance(
     if n <= min(cfg.max_sampled_qubits, MAX_SIM_QUBITS):
         opt = trained.optimization
         if frame_mask is None:
-            ideal_probs = qaoa_probabilities(
-                hamiltonian,
-                opt.gammas,
-                opt.betas,
-                spectrum=memoized_spectrum(hamiltonian),
+            table = OutcomeTable(
+                qaoa_probabilities(
+                    hamiltonian,
+                    opt.gammas,
+                    opt.betas,
+                    spectrum=memoized_spectrum(hamiltonian),
+                ),
+                n,
             )
         else:
-            ideal_probs = _class_probabilities(
-                hamiltonian, frame_mask, opt, frames
-            )
+            table = _class_table(hamiltonian, frame_mask, opt, frames)
         if context.noise_model is not None:
             flips = (
                 flip_probabilities_from_factors(context.readout, n)
@@ -503,7 +505,7 @@ def finish_qaoa_instance(
                 else None
             )
             counts = noisy_counts(
-                ideal_probs,
+                table,
                 context.fidelity,
                 context.noise_model,
                 cfg.shots,
@@ -513,7 +515,7 @@ def finish_qaoa_instance(
                 flip_probabilities=flips,
             )
         else:
-            counts = sample_counts(ideal_probs, cfg.shots, n, seed=rng)
+            counts = sample_counts(table, cfg.shots, n, seed=rng)
         best_value = np.inf
         best_spins: tuple[int, ...] = ()
         if len(counts):

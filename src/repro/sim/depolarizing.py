@@ -31,7 +31,12 @@ from repro.exceptions import SimulationError
 from repro.ising.hamiltonian import IsingHamiltonian
 from repro.sim.expectation import combine_term_expectations
 from repro.sim.noise import NoiseModel
-from repro.sim.sampling import Counts, sample_counts
+from repro.sim.sampling import (
+    Counts,
+    OutcomeTable,
+    draw_flip_masks,
+    outcome_table,
+)
 from repro.utils.rng import ensure_rng
 
 
@@ -171,7 +176,7 @@ def flip_probabilities_from_factors(
 
 
 def noisy_counts(
-    ideal_probs: np.ndarray,
+    ideal_probs: "np.ndarray | OutcomeTable",
     fidelity: float,
     model: NoiseModel,
     shots: int,
@@ -185,19 +190,33 @@ def noisy_counts(
     The sampled distribution is ``F * p_ideal + (1 - F) * uniform`` followed
     by independent per-bit flips (readout errors by default; pass
     ``flip_probabilities`` to fold in decoherence attenuation too, keeping
-    sampling consistent with :func:`noisy_expectation`).
+    sampling consistent with :func:`noisy_expectation`). The mixture is
+    split, not built: ``Binomial(shots, F)`` shots come from the ideal
+    :class:`~repro.sim.sampling.OutcomeTable` and the rest are uniform
+    integers, then every shot takes its flip mask, so the cost grows with
+    the shots and not with ``2**n``.
+
+    Args:
+        ideal_probs: Ideal distribution of length ``2**num_qubits``, or
+            its prebuilt (possibly masked) outcome table. It is checked
+            as :class:`~repro.sim.sampling.OutcomeTable` checks it, so a
+            zero total raises even when ``F < 1``, and it is normalised
+            on its own: an unnormalised vector still gets weight ``F``.
+        fidelity: Circuit success probability F in [0, 1].
+        model: Noise model whose wires carry the readout rates.
+        shots: Number of samples.
+        num_qubits: Qubit count (defines the key space).
+        measured_wires: Physical wire of each logical qubit (identity
+            default); selects the readout rates.
+        seed: RNG seed or generator.
+        flip_probabilities: Per-qubit flip rates that replace the readout
+            rates.
     """
     if not 0.0 <= fidelity <= 1.0:
         raise SimulationError(f"fidelity must be in [0, 1], got {fidelity}")
-    rng = ensure_rng(seed)
-    p = np.asarray(ideal_probs, dtype=float)
-    size = 1 << num_qubits
-    if p.shape != (size,):
-        raise SimulationError(
-            f"probability vector must have length {size}, got {p.shape}"
-        )
-    mixed = fidelity * p + (1.0 - fidelity) / size
-    clean = sample_counts(mixed, shots, num_qubits, seed=rng)
+    if shots < 0:
+        raise SimulationError(f"shots must be >= 0, got {shots}")
+    table = outcome_table(ideal_probs, num_qubits)
     if flip_probabilities is not None:
         flip_probs = np.asarray(flip_probabilities, dtype=float)
         if flip_probs.shape != (num_qubits,):
@@ -210,17 +229,12 @@ def noisy_counts(
         flip_probs = np.asarray(
             [model.readout_error[w] for w in measured_wires], dtype=float
         )
-    if np.all(flip_probs == 0.0):
-        return clean
-    # Vectorized corruption: one flip matrix for every shot at once instead
-    # of a Python loop per outcome — the sampling hot path scales with
-    # shots, not with distinct outcomes.
-    outcomes = np.repeat(clean.keys_array(), clean.counts_array())
-    flips = rng.random((outcomes.size, num_qubits)) < flip_probs[None, :]
-    masks = (
-        flips.astype(np.int64) << np.arange(num_qubits, dtype=np.int64)
-    ).sum(axis=1)
-    corrupted_keys, corrupted_counts = np.unique(
-        outcomes ^ masks, return_counts=True
-    )
-    return Counts.from_arrays(corrupted_keys, corrupted_counts, num_qubits)
+    rng = ensure_rng(seed)
+    ideal_shots = int(rng.binomial(shots, fidelity))
+    outcomes = np.concatenate((
+        table.draw(ideal_shots, rng),
+        rng.integers(0, 1 << num_qubits, size=shots - ideal_shots),
+    ))
+    if flip_probs.any():
+        outcomes ^= draw_flip_masks(flip_probs, shots, rng)
+    return Counts.from_samples(outcomes, num_qubits)

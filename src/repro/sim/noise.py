@@ -21,7 +21,7 @@ from repro.circuit.dag import circuit_layers
 from repro.devices.calibration import DeviceCalibration
 from repro.devices.device import Device
 from repro.exceptions import SimulationError
-from repro.sim.sampling import Counts
+from repro.sim.sampling import Counts, OutcomeTable, draw_flip_masks
 from repro.sim.statevector import simulate_statevector
 from repro.utils.rng import ensure_rng
 
@@ -165,7 +165,8 @@ def trajectory_counts(
     layers = circuit_layers(circuit)
     base_shots = shots // trajectories
     remainder = shots - base_shots * trajectories
-    accumulated: dict[int, int] = {}
+    readout = np.asarray(model.readout_error[:n], dtype=float)
+    drawn: list[np.ndarray] = []
     for trajectory in range(trajectories):
         noisy = QuantumCircuit(n, name=f"{circuit.name}#traj{trajectory}")
         for layer in layers:
@@ -198,22 +199,10 @@ def trajectory_counts(
                         noisy.append(Instruction("x", (qubit,)))
                     if p_dephase > 0.0 and rng.random() < p_dephase / 2.0:
                         noisy.append(Instruction("z", (qubit,)))
-        amplitudes = simulate_statevector(noisy)
-        probs = np.abs(amplitudes) ** 2
-        probs = probs / probs.sum()
         take = base_shots + (1 if trajectory < remainder else 0)
-        if take == 0:
-            continue
-        outcomes = rng.choice(len(probs), size=take, p=probs)
-        flips = rng.random((take, n)) < np.asarray(model.readout_error)[None, :n]
-        flip_masks = (flips.astype(np.uint64) << np.arange(n, dtype=np.uint64)).sum(
-            axis=1
-        )
-        final = outcomes.astype(np.uint64) ^ flip_masks
-        for outcome in final:
-            key = int(outcome)
-            accumulated[key] = accumulated.get(key, 0) + 1
-    return Counts(accumulated, n)
+        table = OutcomeTable(np.abs(simulate_statevector(noisy)) ** 2, n)
+        drawn.append(table.draw(take, rng) ^ draw_flip_masks(readout, take, rng))
+    return Counts.from_samples(np.concatenate(drawn), n)
 
 
 def noise_model_for_transpiled(

@@ -3,10 +3,21 @@
 Counts are keyed by the integer basis index (bit ``i`` = qubit ``i``,
 LSB-first); helpers expose bitstring and spin views. The container is
 intentionally dict-like so tests can build literals easily.
+
+Every sampler in :mod:`repro.sim` draws through one exact inverse-CDF
+sampler, :class:`OutcomeTable`: the cumulative table of a distribution is
+built and validated once (``O(2**n)``), and a draw of ``k`` shots sorts
+``k`` uniforms and looks them up in it (``O(k log k)``), so the cost per
+shot does not grow with the outcome space. A table carries an XOR mask in
+``O(1)``, which is how a landscape-class member samples its frame's
+distribution with its spins flipped. :func:`draw_flip_masks` draws the
+per-shot bit-flip channel that readout and decoherence share, and
+:meth:`Counts.from_samples` is the one histogram.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Iterator, Mapping
 
 import numpy as np
@@ -82,6 +93,14 @@ class Counts(Mapping):
         instance._data = dict(zip(keys.tolist(), counts.tolist()))
         return instance
 
+    @classmethod
+    def from_samples(cls, outcomes: np.ndarray, num_qubits: int) -> "Counts":
+        """Histogram of individual shot outcomes, keys ascending."""
+        keys, counts = np.unique(
+            np.asarray(outcomes, dtype=np.int64), return_counts=True
+        )
+        return cls.from_arrays(keys, counts, num_qubits)
+
     @property
     def num_qubits(self) -> int:
         """Number of measured qubits."""
@@ -142,8 +161,8 @@ class Counts(Mapping):
 
     def map_outcomes(self, transform) -> "Counts":
         """New Counts with every key passed through ``transform`` (merging
-        collisions). Used to decode sub-problem outcomes into the parent
-        space and to apply the spin-flip of the symmetry mirror."""
+        collisions); one Python call per outcome, so array-shaped maps
+        such as :meth:`flip_all_bits` go through :meth:`from_arrays`."""
         merged: dict[int, int] = {}
         for key, count in self._data.items():
             new_key = int(transform(key))
@@ -153,7 +172,9 @@ class Counts(Mapping):
     def flip_all_bits(self) -> "Counts":
         """Counts of the spin-flipped distribution (Sec. 3.7.2 mirror)."""
         mask = (1 << self._num_qubits) - 1
-        return self.map_outcomes(lambda key: key ^ mask)
+        return Counts.from_arrays(
+            self.keys_array() ^ mask, self.counts_array(), self._num_qubits
+        )
 
     def merge(self, other: "Counts") -> "Counts":
         """Shot-wise union of two histograms over the same qubit count."""
@@ -174,36 +195,120 @@ class Counts(Mapping):
         )
 
 
+class OutcomeTable:
+    """Cumulative table of one outcome distribution, for exact sampling.
+
+    Built and validated once from a probability vector of length
+    ``2**num_qubits``: no entry below ``-1e-9`` (smaller negatives are
+    simulator round-off and count as zero) and a positive total. The
+    vector need not be normalised; the table samples ``p / p.sum()``.
+
+    Attributes:
+        cdf: Read-only running sum of the clipped probabilities.
+        total: ``cdf[-1]``, the unnormalised total mass.
+        mask: XOR mask on every drawn outcome; the masked table samples
+            ``p[x ^ mask]``.
+        num_qubits: Width of the outcome space.
+    """
+
+    __slots__ = ("cdf", "total", "mask", "num_qubits")
+
+    def __init__(self, probs: np.ndarray, num_qubits: int) -> None:
+        p = np.asarray(probs, dtype=float)
+        if p.shape != (1 << num_qubits,):
+            raise SimulationError(
+                f"probability vector must have length {1 << num_qubits}, "
+                f"got {p.shape}"
+            )
+        lowest = p.min()
+        if lowest < -1e-9:
+            raise SimulationError("probabilities must be non-negative")
+        cdf = np.cumsum(np.clip(p, 0.0, None) if lowest < 0 else p)
+        total = float(cdf[-1])
+        if not 0.0 < total < np.inf:
+            raise SimulationError(
+                f"probability vector must have a positive finite sum, got {total}"
+            )
+        cdf.flags.writeable = False
+        self.cdf = cdf
+        self.total = total
+        self.mask = 0
+        self.num_qubits = num_qubits
+
+    def masked(self, mask: int) -> "OutcomeTable":
+        """The same table with its outcomes XORed by ``mask`` (``O(1)``)."""
+        if not 0 <= mask < 1 << self.num_qubits:
+            raise SimulationError(
+                f"mask {mask} out of range for {self.num_qubits} qubits"
+            )
+        table = copy.copy(self)
+        table.mask ^= int(mask)
+        return table
+
+    def draw(self, shots: int, rng: np.random.Generator) -> np.ndarray:
+        """``shots`` independent outcomes as an int64 array.
+
+        Sorted uniforms keep the binary searches cache-friendly (the
+        outcomes of an unmasked table come out ascending). The search
+        finds the first running sum above ``u * total``, which always
+        adds mass, and it always finds one: a generator's uniforms are at
+        most ``1 - 2**-53``, and ``(1 - 2**-53) * total`` rounds below
+        ``total`` for every ``total > 2**-1022``. (An index past the end,
+        which only a tinier total or a stub generator could give, fails
+        the outcome range check of :class:`Counts`.)
+        """
+        uniforms = rng.random(shots)
+        uniforms.sort()
+        outcomes = np.searchsorted(self.cdf, uniforms * self.total, side="right")
+        if self.mask:
+            outcomes ^= self.mask
+        return outcomes
+
+
+def outcome_table(
+    probs: "np.ndarray | OutcomeTable", num_qubits: int
+) -> OutcomeTable:
+    """``probs`` as an :class:`OutcomeTable` (a table passes through)."""
+    if isinstance(probs, OutcomeTable):
+        if probs.num_qubits != num_qubits:
+            raise SimulationError(
+                f"outcome table over {probs.num_qubits} qubits, expected "
+                f"{num_qubits}"
+            )
+        return probs
+    return OutcomeTable(probs, num_qubits)
+
+
+def draw_flip_masks(
+    flip_probabilities: np.ndarray, shots: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-shot XOR masks of independent bit flips.
+
+    Bit ``q`` of each mask is set with probability
+    ``flip_probabilities[q]``: the readout (and folded decoherence)
+    channel, drawn as one ``(shots, n)`` matrix.
+    """
+    flips = rng.random((shots, flip_probabilities.size)) < flip_probabilities
+    return flips @ (1 << np.arange(flip_probabilities.size, dtype=np.int64))
+
+
 def sample_counts(
-    probs: np.ndarray,
+    probs: "np.ndarray | OutcomeTable",
     shots: int,
     num_qubits: int,
     seed: "int | np.random.Generator | None" = None,
 ) -> Counts:
-    """Draw a multinomial sample from an outcome distribution.
+    """Draw ``shots`` outcomes from a distribution and histogram them.
 
     Args:
-        probs: Probability vector of length ``2**num_qubits`` (renormalised
-            defensively against simulator round-off).
+        probs: Probability vector of length ``2**num_qubits`` (need not be
+            normalised; see :class:`OutcomeTable` for the checks), or a
+            prebuilt :class:`OutcomeTable`, possibly masked.
         shots: Number of samples.
         num_qubits: Qubit count (defines the key space).
         seed: RNG seed or generator.
     """
     if shots < 0:
         raise SimulationError(f"shots must be >= 0, got {shots}")
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (1 << num_qubits,):
-        raise SimulationError(
-            f"probability vector must have length {1 << num_qubits}, got {p.shape}"
-        )
-    if np.any(p < -1e-9):
-        raise SimulationError("probabilities must be non-negative")
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if total <= 0:
-        raise SimulationError("probability vector sums to zero")
-    p = p / total
-    rng = ensure_rng(seed)
-    drawn = rng.multinomial(shots, p)
-    occupied = np.nonzero(drawn)[0]
-    return Counts.from_arrays(occupied, drawn[occupied], num_qubits)
+    table = outcome_table(probs, num_qubits)
+    return Counts.from_samples(table.draw(shots, ensure_rng(seed)), num_qubits)

@@ -406,6 +406,12 @@ def _mixed_problem() -> IsingHamiltonian:
 FREEZE_0_1 = FreezePlan(num_frozen=2, hotspots=(0, 1), prune_symmetric=False)
 
 
+def _table_distribution(table) -> np.ndarray:
+    """The distribution an outcome table samples: ``p[x ^ mask]``."""
+    frame = np.diff(table.cdf, prepend=0.0) / table.total
+    return frame[np.arange(frame.size) ^ table.mask]
+
+
 @pytest.mark.parametrize("num_layers", [1, 2])
 def test_members_sample_their_own_distribution_from_the_frame(
     num_layers, tree, monkeypatch
@@ -422,9 +428,9 @@ def test_members_sample_their_own_distribution_from_the_frame(
     sampled = []
     original = solver_module.sample_counts
 
-    def recording(probs, *args, **kwargs):
-        sampled.append(np.array(probs))
-        return original(probs, *args, **kwargs)
+    def recording(table, *args, **kwargs):
+        sampled.append(table)
+        return original(table, *args, **kwargs)
 
     monkeypatch.setattr(solver_module, "sample_counts", recording)
     members = singletons = 0
@@ -443,14 +449,16 @@ def test_members_sample_their_own_distribution_from_the_frame(
         results = SerialBackend().run(jobs)
         order = [i for level in dependency_levels(jobs) for i in level]
         assert len(sampled) == len(jobs)
-        for index, probs in zip(order, sampled):
+        tables = dict(zip((jobs[i].job_id for i in order), sampled))
+        for index, table in zip(order, sampled):
             job, run = jobs[index], results[index].run
             own = qaoa_probabilities(
                 job.hamiltonian, run.optimization.gammas, run.optimization.betas
             )
             if job.frame_mask is None:
-                # A class of one keeps the direct simulation, bit for bit.
-                assert np.array_equal(probs, own)
+                # A class of one tabulates its own distribution, bit for bit.
+                assert table.mask == 0
+                assert np.array_equal(table.cdf, np.cumsum(own))
                 singletons += 1
                 continue
             members += 1
@@ -460,7 +468,11 @@ def test_members_sample_their_own_distribution_from_the_frame(
                 landscape_frame(job.hamiltonian, job.frame_mask).content_text()
                 == landscape_frame(trainer.hamiltonian, 0).content_text()
             )
-            assert np.max(np.abs(probs - own)) <= 1e-12
+            # The member draws from its trainer's frame table, through its
+            # own mask, and that reads as its own distribution.
+            assert table.cdf is tables[trainer.job_id].cdf
+            assert table.mask == job.frame_mask
+            assert np.max(np.abs(_table_distribution(table) - own)) <= 1e-12
     assert (members, singletons) == (14, 2)
 
 

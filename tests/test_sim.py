@@ -4,9 +4,12 @@ Includes the validation that pins the scalable depolarizing model to the
 faithful trajectory simulator.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.stats import chisquare
 
 from repro.circuit import QuantumCircuit
 from repro.exceptions import SimulationError
@@ -28,6 +31,7 @@ from repro.sim import (
     term_expectations_from_probabilities,
     trajectory_counts,
 )
+from repro.sim.sampling import OutcomeTable
 from tests.conftest import hamiltonian_strategy
 
 
@@ -136,6 +140,13 @@ class TestCounts:
         flipped = counts.flip_all_bits()
         assert flipped[0b10] == 4
 
+    def test_flip_all_bits_matches_per_outcome_map(self):
+        counts = sample_counts(np.full(64, 1 / 64), 500, 6, seed=3)
+        flipped = counts.flip_all_bits()
+        assert dict(flipped) == dict(counts.map_outcomes(lambda key: key ^ 63))
+        assert flipped.total_shots == counts.total_shots
+        assert dict(Counts({}, 3).flip_all_bits()) == {}
+
     def test_merge(self):
         a = Counts({0: 1}, 1)
         b = Counts({0: 2, 1: 3}, 1)
@@ -164,6 +175,231 @@ class TestCounts:
     def test_sample_counts_negative_probs(self):
         with pytest.raises(SimulationError):
             sample_counts(np.array([-0.5, 1.5]), 10, 1)
+
+
+# ----------------------------------------------------------------------
+# The exact sampler: draws change between implementations, so these tests
+# pin the sampled distribution itself (chi-square goodness of fit against
+# the exact distribution, 100k shots, every case seeded).
+# ----------------------------------------------------------------------
+#: Per-test significance level of the goodness-of-fit checks.
+ALPHA = 1e-4
+FIT_SHOTS = 100_000
+
+
+def _random_distribution(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Unnormalised random weights over ``2**n`` outcomes, about a quarter
+    of them zero (never all)."""
+    p = rng.random(1 << n)
+    p[rng.random(1 << n) < 0.25] = 0.0
+    if not p.any():
+        p[rng.integers(1 << n)] = 1.0
+    return p
+
+
+def _fit_p_value(counts: Counts, probs: np.ndarray) -> float:
+    """Chi-square p-value of ``counts`` against the exact ``probs``, after
+    checking that no shot landed on a zero-mass outcome."""
+    observed = np.zeros(probs.size)
+    observed[counts.keys_array()] = counts.counts_array()
+    support = probs > 0
+    assert not observed[~support].any(), "drew a zero-mass outcome"
+    if support.sum() == 1:
+        return 1.0
+    expected = probs[support] / probs[support].sum() * observed.sum()
+    return float(chisquare(observed[support], expected).pvalue)
+
+
+def _flip_channel_oracle(
+    probs: np.ndarray, fidelity: float, flips: np.ndarray
+) -> np.ndarray:
+    """The exact noisy distribution: ``F p + (1 - F) / 2**n``, then each
+    wire's bit flip with its own rate."""
+    mixed = fidelity * probs / probs.sum() + (1.0 - fidelity) / probs.size
+    index = np.arange(probs.size)
+    for wire, rate in enumerate(flips):
+        mixed = (1.0 - rate) * mixed + rate * mixed[index ^ (1 << wire)]
+    return mixed
+
+
+class _ConstantUniforms:
+    """A generator stub whose every uniform is ``value``."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def random(self, size: int) -> np.ndarray:
+        return np.full(size, self.value)
+
+
+class TestExactSampler:
+    @pytest.mark.parametrize("trial", range(4))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sample_counts_fits_distribution(self, n, trial):
+        rng = np.random.default_rng(100 * n + trial)
+        p = _random_distribution(rng, n)
+        counts = sample_counts(p, FIT_SHOTS, n, seed=rng)
+        assert counts.total_shots == FIT_SHOTS
+        assert _fit_p_value(counts, p) > ALPHA
+
+    @pytest.mark.parametrize("trial", range(2))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_masked_table_fits_permuted_distribution(self, n, trial):
+        rng = np.random.default_rng(200 * n + trial)
+        p = _random_distribution(rng, n)
+        mask = int(rng.integers(1, 1 << n))
+        table = OutcomeTable(p, n).masked(mask)
+        counts = sample_counts(table, FIT_SHOTS, n, seed=rng)
+        assert _fit_p_value(counts, p[np.arange(p.size) ^ mask]) > ALPHA
+
+    @pytest.mark.parametrize("trial", range(6))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_noisy_counts_fits_flip_channel_oracle(self, n, trial):
+        """Half the cases pass explicit flip rates, half read the model's
+        readout rates through a wire map; every third one samples a masked
+        table."""
+        rng = np.random.default_rng(300 * n + trial)
+        p = _random_distribution(rng, n)
+        fidelity = float(rng.random())
+        rates = rng.uniform(0.0, 0.3, size=n + 2)
+        wires = [int(w) for w in rng.permutation(n + 2)[:n]]
+        flips = rates[wires]
+        probs, exact = p, p
+        if trial % 3 == 2:
+            mask = int(rng.integers(1 << n))
+            probs = OutcomeTable(p, n).masked(mask)
+            exact = p[np.arange(p.size) ^ mask]
+        if trial % 2:
+            model = replace(NoiseModel.uniform(n + 2),
+                            readout_error=rates.tolist())
+            counts = noisy_counts(probs, fidelity, model, FIT_SHOTS, n,
+                                  measured_wires=wires, seed=rng)
+        else:
+            counts = noisy_counts(probs, fidelity, NoiseModel.uniform(n),
+                                  FIT_SHOTS, n, seed=rng,
+                                  flip_probabilities=flips)
+        assert counts.total_shots == FIT_SHOTS
+        oracle = _flip_channel_oracle(exact, fidelity, flips)
+        assert _fit_p_value(counts, oracle) > ALPHA
+
+    @pytest.mark.parametrize("fidelity", [0.0, 1.0])
+    def test_noisy_counts_fidelity_edges(self, fidelity):
+        rng = np.random.default_rng(17)
+        n = 4
+        p = _random_distribution(rng, n)
+        model = NoiseModel.uniform(n, readout_error=0.0)
+        counts = noisy_counts(p, fidelity, model, FIT_SHOTS, n, seed=rng)
+        # F = 1 never leaves p's support; F = 0 is the uniform mixture.
+        assert _fit_p_value(
+            counts, _flip_channel_oracle(p, fidelity, np.zeros(n))
+        ) > ALPHA
+
+    def test_trajectory_counts_fit_readout_channel(self):
+        h = IsingHamiltonian(3, linear=[0.3, 0.0, -0.2],
+                             quadratic={(0, 1): 1.0, (1, 2): -1.0})
+        circuit = build_qaoa_circuit(h, [0.5], [0.4])
+        model = NoiseModel.uniform(
+            3, cx_error=0.0, single_qubit_error=0.0, readout_error=0.1,
+            t1_us=1e12, t2_us=1e12,
+        )
+        counts = trajectory_counts(circuit, model, shots=FIT_SHOTS,
+                                   trajectories=1, seed=8)
+        oracle = _flip_channel_oracle(probabilities(circuit), 1.0,
+                                      np.full(3, 0.1))
+        assert _fit_p_value(counts, oracle) > ALPHA
+
+    def test_zero_mass_outcomes_never_drawn(self):
+        p = np.array([0.1, 0.0, 0.4, 0.5, 0.0, 0.0, 0.0, 0.0])
+        counts = sample_counts(p, FIT_SHOTS, 3, seed=9)
+        assert set(counts) == {0, 2, 3}
+        masked = sample_counts(OutcomeTable(p, 3).masked(0b101), FIT_SHOTS, 3,
+                               seed=9)
+        assert set(masked) == {0b101, 0b111, 0b110}
+        # Round-off negatives count as zero mass.
+        q = np.array([-1e-12, 0.5, 0.5, -1e-12])
+        assert set(sample_counts(q, 1000, 2, seed=9)) == {1, 2}
+
+    def test_top_uniform_lands_on_last_outcome_with_mass(self):
+        table = OutcomeTable(np.array([0.3, 0.0, 0.7, 0.0, 0.0]
+                                      + [0.0] * 3), 3)
+        top = _ConstantUniforms(np.nextafter(1.0, 0.0))
+        assert table.draw(16, top).tolist() == [2] * 16
+        assert table.masked(0b100).draw(4, top).tolist() == [6] * 4
+
+    def test_uniform_past_the_table_is_rejected(self):
+        # No generator returns 1.0; a stub that does draws index 2**n,
+        # which the histogram's range check rejects, masked or not.
+        table = OutcomeTable(np.array([0.3, 0.0, 0.7, 0.0]), 2)
+        for drawn_from in (table, table.masked(0b11)):
+            drawn = drawn_from.draw(4, _ConstantUniforms(1.0))
+            with pytest.raises(SimulationError):
+                Counts.from_samples(drawn, 2)
+
+    def test_bottom_uniform_lands_on_first_outcome_with_mass(self):
+        table = OutcomeTable(np.array([0.0, 0.0, 0.5, 0.5]), 2)
+        assert table.draw(3, _ConstantUniforms(0.0)).tolist() == [2] * 3
+
+    def test_masked_draw_is_unmasked_draw_xor_mask(self):
+        rng = np.random.default_rng(10)
+        p = _random_distribution(rng, 6)
+        table = OutcomeTable(p, 6)
+        for mask in (1, 0b101010, 63):
+            plain = table.draw(5000, np.random.default_rng(11))
+            masked = table.masked(mask).draw(5000, np.random.default_rng(11))
+            assert np.array_equal(masked, plain ^ mask)
+        assert table.masked(0b11).masked(0b110).mask == 0b101
+        assert table.mask == 0
+        assert table.masked(5).cdf is table.cdf
+
+    def test_unmasked_draws_come_out_sorted(self):
+        table = OutcomeTable(_random_distribution(np.random.default_rng(12), 5), 5)
+        drawn = table.draw(2000, np.random.default_rng(13))
+        assert np.all(np.diff(drawn) >= 0)
+
+    def test_zero_shots(self):
+        p = np.array([0.25, 0.75])
+        assert sample_counts(p, 0, 1, seed=1).total_shots == 0
+        model = NoiseModel.uniform(1, readout_error=0.1)
+        assert noisy_counts(p, 0.5, model, 0, 1, seed=1).total_shots == 0
+        assert len(noisy_counts(p, 0.5, model, 0, 1, seed=1)) == 0
+
+    def test_table_is_read_only(self):
+        table = OutcomeTable(np.array([0.5, 0.5]), 1)
+        with pytest.raises(ValueError):
+            table.cdf[0] = 1.0
+
+    def test_validation_errors(self):
+        model = NoiseModel.uniform(2)
+        with pytest.raises(SimulationError):
+            OutcomeTable(np.ones(3), 2)  # wrong shape
+        with pytest.raises(SimulationError):
+            noisy_counts(np.ones(3), 0.5, model, 10, 2)
+        with pytest.raises(SimulationError):
+            noisy_counts(np.array([-0.5, 1.5, 0.0, 0.0]), 0.5, model, 10, 2)
+        for zero in (np.zeros(4), np.array([0.0, -1e-12, 0.0, 0.0])):
+            with pytest.raises(SimulationError):
+                sample_counts(zero, 10, 2)
+            with pytest.raises(SimulationError):
+                noisy_counts(zero, 0.5, model, 10, 2)
+        for bad in (np.array([np.nan, 1.0, 0.0, 0.0]),
+                    np.array([np.inf, 1.0, 0.0, 0.0])):
+            with pytest.raises(SimulationError):
+                sample_counts(bad, 10, 2)
+        p = np.full(4, 0.25)
+        for fidelity in (-0.1, 1.5):
+            with pytest.raises(SimulationError):
+                noisy_counts(p, fidelity, model, 10, 2)
+        with pytest.raises(SimulationError):
+            noisy_counts(p, 0.5, model, 10, 2,
+                         flip_probabilities=np.zeros(3))
+        with pytest.raises(SimulationError):
+            sample_counts(p, -1, 2)
+        with pytest.raises(SimulationError):
+            noisy_counts(p, 0.5, model, -1, 2)
+        with pytest.raises(SimulationError):
+            sample_counts(OutcomeTable(p, 2), 10, 3)  # table width mismatch
+        with pytest.raises(SimulationError):
+            OutcomeTable(p, 2).masked(4)
 
 
 class TestExpectation:
