@@ -710,16 +710,15 @@ class FrozenQubitsResult:
     @property
     def combined_counts(self) -> "Counts | None":
         """Union of decoded outcome histograms across all sub-spaces."""
-        merged: "Counts | None" = None
-        for outcome in self.outcomes:
-            if outcome.decoded_counts is None:
-                continue
-            merged = (
-                outcome.decoded_counts
-                if merged is None
-                else merged.merge(outcome.decoded_counts)
-            )
-        return merged
+        decoded = [o.decoded_counts for o in self.outcomes
+                   if o.decoded_counts is not None]
+        if not decoded:
+            return None
+        return Counts.from_arrays(
+            np.concatenate([c.keys_array() for c in decoded]),
+            np.concatenate([c.counts_array() for c in decoded]),
+            self.hamiltonian.num_qubits,
+        )
 
     @property
     def fallback_provenance(self) -> dict[int, dict[str, float]]:

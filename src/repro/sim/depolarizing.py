@@ -206,8 +206,8 @@ def noisy_counts(
         model: Noise model whose wires carry the readout rates.
         shots: Number of samples.
         num_qubits: Qubit count (defines the key space).
-        measured_wires: Physical wire of each logical qubit (identity
-            default); selects the readout rates.
+        measured_wires: Physical wire of each of the ``num_qubits``
+            logical qubits (identity default); selects the readout rates.
         seed: RNG seed or generator.
         flip_probabilities: Per-qubit flip rates that replace the readout
             rates.
@@ -224,10 +224,13 @@ def noisy_counts(
                 f"flip_probabilities must have length {num_qubits}"
             )
     else:
-        if measured_wires is None:
-            measured_wires = list(range(num_qubits))
+        wires = range(num_qubits) if measured_wires is None else measured_wires
+        if len(wires) != num_qubits:
+            raise SimulationError(
+                f"measured_wires must have length {num_qubits}, got {len(wires)}"
+            )
         flip_probs = np.asarray(
-            [model.readout_error[w] for w in measured_wires], dtype=float
+            [model.readout_error[w] for w in wires], dtype=float
         )
     rng = ensure_rng(seed)
     ideal_shots = int(rng.binomial(shots, fidelity))

@@ -90,10 +90,8 @@ def expectation_from_counts(hamiltonian: IsingHamiltonian, counts: Counts) -> fl
     total = counts.total_shots
     if total == 0:
         raise SimulationError("counts are empty")
-    value = 0.0
-    for spins, count in counts.spin_items():
-        value += count * hamiltonian.evaluate(spins)
-    return value / total
+    values = hamiltonian.evaluate_many(counts.spins_matrix())
+    return float(counts.counts_array() @ values / total)
 
 
 def term_sign_matrix(

@@ -1,8 +1,9 @@
-"""Measurement sampling and the :class:`Counts` container.
+"""Measurement sampling and the :class:`Counts` histogram.
 
-Counts are keyed by the integer basis index (bit ``i`` = qubit ``i``,
-LSB-first); helpers expose bitstring and spin views. The container is
-intentionally dict-like so tests can build literals easily.
+A :class:`Counts` is two read-only int64 arrays: the outcomes, keyed by
+basis index (bit ``i`` = qubit ``i``, LSB-first) and ascending, and their
+counts. Samplers, decoders and the mirror flip build and read it as
+arrays; it is also a ``Mapping``, so tests compare it with dict literals.
 
 Every sampler in :mod:`repro.sim` draws through one exact inverse-CDF
 sampler, :class:`OutcomeTable`: the cumulative table of a distribution is
@@ -23,83 +24,82 @@ from collections.abc import Iterator, Mapping
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.utils.bitstrings import bits_to_spins, int_to_bits
 from repro.utils.rng import ensure_rng
 
 
 class Counts(Mapping):
-    """Histogram of measurement outcomes.
+    """Histogram of measurement outcomes, iterated in ascending order.
+
+    Both constructors sum duplicate outcomes, drop zero counts, and reject
+    outcomes outside ``[0, 2**num_qubits)`` and negative counts.
 
     Args:
         data: Map basis-state integer -> shot count.
         num_qubits: Number of measured qubits (defines key range).
     """
 
+    __slots__ = ("_keys", "_counts", "_num_qubits")
+
     def __init__(self, data: Mapping[int, int], num_qubits: int) -> None:
-        if num_qubits < 0:
-            raise SimulationError(f"num_qubits must be >= 0, got {num_qubits}")
-        self._num_qubits = num_qubits
-        size = 1 << num_qubits
-        cleaned: dict[int, int] = {}
-        for key, value in data.items():
-            if not 0 <= key < size:
-                raise SimulationError(
-                    f"outcome {key} out of range for {num_qubits} qubits"
-                )
-            if value < 0:
-                raise SimulationError(f"negative count for outcome {key}")
-            if value:
-                cleaned[int(key)] = int(value)
-        self._data = cleaned
+        self._store(list(data.keys()), list(data.values()), num_qubits)
 
     @classmethod
     def from_arrays(
         cls, keys: np.ndarray, counts: np.ndarray, num_qubits: int
     ) -> "Counts":
-        """Vectorized constructor from aligned key/count arrays.
-
-        Validates with array ops instead of a Python loop per outcome —
-        the fast path for samplers and decoders that already hold arrays.
+        """Histogram of aligned key/count arrays.
 
         Args:
             keys: Outcome integers (any integer dtype; duplicates summed).
             counts: Shot counts aligned with ``keys``.
             num_qubits: Number of measured qubits (defines the key range).
         """
+        instance = cls.__new__(cls)
+        instance._store(keys, counts, num_qubits)
+        return instance
+
+    @classmethod
+    def from_samples(cls, outcomes: np.ndarray, num_qubits: int) -> "Counts":
+        """Histogram of individual shot outcomes."""
+        keys, counts = np.unique(
+            np.asarray(outcomes, dtype=np.int64), return_counts=True
+        )
+        return cls.from_arrays(keys, counts, num_qubits)
+
+    def _store(self, keys, counts, num_qubits: int) -> None:
+        """Check ``keys``/``counts`` and hold them as read-only copies."""
         if num_qubits < 0:
             raise SimulationError(f"num_qubits must be >= 0, got {num_qubits}")
-        keys = np.asarray(keys, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        keys = np.array(keys, dtype=np.int64)
+        counts = np.array(counts, dtype=np.int64)
         if keys.shape != counts.shape or keys.ndim != 1:
             raise SimulationError(
                 f"keys and counts must be aligned 1-D arrays, got "
                 f"{keys.shape} and {counts.shape}"
             )
         if keys.size:
-            if int(keys.min()) < 0 or int(keys.max()) >= (1 << num_qubits):
+            low, high = int(keys.min()), int(keys.max())
+            if low < 0 or high >= (1 << num_qubits):
                 raise SimulationError(
-                    f"outcome out of range for {num_qubits} qubits"
+                    f"outcome {low if low < 0 else high} out of range for "
+                    f"{num_qubits} qubits"
                 )
             if int(counts.min()) < 0:
                 raise SimulationError("negative count")
-        nonzero = counts != 0
-        keys, counts = keys[nonzero], counts[nonzero]
-        unique, inverse = np.unique(keys, return_inverse=True)
-        if unique.size != keys.size:
-            counts = np.bincount(inverse, weights=counts).astype(np.int64)
-            keys = unique
-        instance = cls.__new__(cls)
-        instance._num_qubits = num_qubits
-        instance._data = dict(zip(keys.tolist(), counts.tolist()))
-        return instance
+        if not counts.all():
+            keys, counts = keys[counts != 0], counts[counts != 0]
+        if (keys[1:] <= keys[:-1]).any():
+            order = np.argsort(keys, kind="stable")
+            keys, counts = keys[order], counts[order]
+            first = np.flatnonzero(np.diff(keys, prepend=-1))
+            keys, counts = keys[first], np.add.reduceat(counts, first)
+        keys.flags.writeable = False
+        counts.flags.writeable = False
+        self._keys, self._counts, self._num_qubits = keys, counts, num_qubits
 
-    @classmethod
-    def from_samples(cls, outcomes: np.ndarray, num_qubits: int) -> "Counts":
-        """Histogram of individual shot outcomes, keys ascending."""
-        keys, counts = np.unique(
-            np.asarray(outcomes, dtype=np.int64), return_counts=True
-        )
-        return cls.from_arrays(keys, counts, num_qubits)
+    def __reduce__(self):
+        # Rebuilt through the checks, so unpickled arrays are read-only too.
+        return Counts.from_arrays, (self._keys, self._counts, self._num_qubits)
 
     @property
     def num_qubits(self) -> int:
@@ -109,71 +109,56 @@ class Counts(Mapping):
     @property
     def total_shots(self) -> int:
         """Sum of all counts."""
-        return sum(self._data.values())
+        return int(self._counts.sum())
 
     def __getitem__(self, key: int) -> int:
-        return self._data[key]
+        index = int(self._keys.searchsorted(key))
+        if index < self._keys.size and self._keys[index] == key:
+            return int(self._counts[index])
+        raise KeyError(key)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._data)
+        return iter(self._keys.tolist())
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._keys.size
 
     def probability(self, key: int) -> float:
         """Empirical probability of an outcome."""
         total = self.total_shots
         if total == 0:
             raise SimulationError("counts are empty")
-        return self._data.get(key, 0) / total
+        return self.get(key, 0) / total
 
     def most_common(self, k: "int | None" = None) -> list[tuple[int, int]]:
         """Outcomes by descending count (ties by key)."""
-        ranked = sorted(self._data.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked if k is None else ranked[:k]
-
-    def spin_items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Iterate ``(spins, count)`` pairs."""
-        for key, count in self._data.items():
-            yield bits_to_spins(int_to_bits(key, self._num_qubits)), count
+        order = np.argsort(-self._counts, kind="stable")[:k]
+        return list(zip(self._keys[order].tolist(), self._counts[order].tolist()))
 
     def keys_array(self) -> np.ndarray:
-        """Outcome keys as an int64 array, in iteration order."""
-        return np.fromiter(self._data.keys(), dtype=np.int64, count=len(self._data))
+        """Outcomes as a read-only int64 array, ascending."""
+        return self._keys
 
     def counts_array(self) -> np.ndarray:
-        """Shot counts as an int64 array, aligned with :meth:`keys_array`."""
-        return np.fromiter(
-            self._data.values(), dtype=np.int64, count=len(self._data)
-        )
+        """Shot counts as a read-only int64 array, aligned with the keys."""
+        return self._counts
 
     def spins_matrix(self) -> np.ndarray:
         """All outcomes as a ``(len(self), num_qubits)`` ±1 spin matrix.
 
-        Row order matches :meth:`keys_array`; together with
-        ``IsingHamiltonian.evaluate_many`` this is the vectorized
-        replacement for looping :meth:`spin_items` — the hot path when
-        scanning thousands of sampled outcomes for the best assignment.
+        Row order matches :meth:`keys_array`, and bit 0 reads as spin +1;
+        with ``IsingHamiltonian.evaluate_many`` this prices every sampled
+        outcome in one pass.
         """
-        keys = self.keys_array()
-        bits = (keys[:, None] >> np.arange(self._num_qubits, dtype=np.int64)) & 1
+        bits = (self._keys[:, None] >> np.arange(self._num_qubits, dtype=np.int64)) & 1
         return 1 - 2 * bits
 
-    def map_outcomes(self, transform) -> "Counts":
-        """New Counts with every key passed through ``transform`` (merging
-        collisions); one Python call per outcome, so array-shaped maps
-        such as :meth:`flip_all_bits` go through :meth:`from_arrays`."""
-        merged: dict[int, int] = {}
-        for key, count in self._data.items():
-            new_key = int(transform(key))
-            merged[new_key] = merged.get(new_key, 0) + count
-        return Counts(merged, self._num_qubits)
-
     def flip_all_bits(self) -> "Counts":
-        """Counts of the spin-flipped distribution (Sec. 3.7.2 mirror)."""
+        """Counts of the spin-flipped distribution (Sec. 3.7.2 mirror);
+        ``key ^ (2**n - 1)`` reverses the key order."""
         mask = (1 << self._num_qubits) - 1
         return Counts.from_arrays(
-            self.keys_array() ^ mask, self.counts_array(), self._num_qubits
+            self._keys[::-1] ^ mask, self._counts[::-1], self._num_qubits
         )
 
     def merge(self, other: "Counts") -> "Counts":
@@ -183,14 +168,15 @@ class Counts(Mapping):
                 f"cannot merge counts over {other.num_qubits} qubits into "
                 f"{self._num_qubits}"
             )
-        merged = dict(self._data)
-        for key, count in other.items():
-            merged[key] = merged.get(key, 0) + count
-        return Counts(merged, self._num_qubits)
+        return Counts.from_arrays(
+            np.concatenate((self._keys, other.keys_array())),
+            np.concatenate((self._counts, other.counts_array())),
+            self._num_qubits,
+        )
 
     def __repr__(self) -> str:
         return (
-            f"Counts(num_qubits={self._num_qubits}, outcomes={len(self._data)}, "
+            f"Counts(num_qubits={self._num_qubits}, outcomes={len(self)}, "
             f"shots={self.total_shots})"
         )
 

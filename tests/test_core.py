@@ -333,6 +333,20 @@ class TestSolver:
             values.add(spins[hotspot])
         assert values == {-1, 1}
 
+    def test_combined_counts_equal_pairwise_merge(self, small_ba_hamiltonian):
+        result = FrozenQubitsSolver(num_frozen=2, config=FAST, seed=6).solve(
+            small_ba_hamiltonian, device=get_backend("montreal")
+        )
+        sources = sorted(o.source for o in result.outcomes)
+        assert sources == ["mirror", "mirror", "quantum", "quantum"]
+        pairwise = result.outcomes[0].decoded_counts
+        for outcome in result.outcomes[1:]:
+            pairwise = pairwise.merge(outcome.decoded_counts)
+        combined = result.combined_counts
+        assert combined == pairwise
+        assert combined.keys_array().tolist() == pairwise.keys_array().tolist()
+        assert combined.total_shots == 4 * FAST.shots
+
     def test_m_zero_is_plain_qaoa(self, small_ba_hamiltonian):
         result = FrozenQubitsSolver(num_frozen=0, config=FAST, seed=7).solve(
             small_ba_hamiltonian

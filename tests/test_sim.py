@@ -4,11 +4,12 @@ Includes the validation that pins the scalable depolarizing model to the
 faithful trajectory simulator.
 """
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from repro.circuit import QuantumCircuit
@@ -129,11 +130,10 @@ class TestCounts:
         counts = Counts({0: 0, 1: 5}, num_qubits=1)
         assert 0 not in counts
 
-    def test_spin_items_convention(self):
+    def test_spins_matrix_convention(self):
         counts = Counts({1: 7}, num_qubits=2)  # bit0=1 -> spin -1 on qubit 0
-        ((spins, count),) = list(counts.spin_items())
-        assert spins == (-1, 1)
-        assert count == 7
+        assert counts.spins_matrix().tolist() == [[-1, 1]]
+        assert counts.counts_array().tolist() == [7]
 
     def test_flip_all_bits(self):
         counts = Counts({0b01: 4}, num_qubits=2)
@@ -143,7 +143,7 @@ class TestCounts:
     def test_flip_all_bits_matches_per_outcome_map(self):
         counts = sample_counts(np.full(64, 1 / 64), 500, 6, seed=3)
         flipped = counts.flip_all_bits()
-        assert dict(flipped) == dict(counts.map_outcomes(lambda key: key ^ 63))
+        assert flipped == {key ^ 63: count for key, count in counts.items()}
         assert flipped.total_shots == counts.total_shots
         assert dict(Counts({}, 3).flip_all_bits()) == {}
 
@@ -156,11 +156,6 @@ class TestCounts:
     def test_merge_width_mismatch(self):
         with pytest.raises(SimulationError):
             Counts({0: 1}, 1).merge(Counts({0: 1}, 2))
-
-    def test_map_outcomes_merges_collisions(self):
-        counts = Counts({0: 2, 1: 3}, num_qubits=1)
-        merged = counts.map_outcomes(lambda key: 0)
-        assert merged[0] == 5
 
     def test_sample_counts_distribution(self):
         probs = np.array([0.25, 0.75])
@@ -175,6 +170,68 @@ class TestCounts:
     def test_sample_counts_negative_probs(self):
         with pytest.raises(SimulationError):
             sample_counts(np.array([-0.5, 1.5]), 10, 1)
+
+
+def _summed(pairs) -> dict[int, int]:
+    """The plain-dict histogram of ``(key, count)`` pairs."""
+    summed: dict[int, int] = {}
+    for key, count in pairs:
+        summed[key] = summed.get(key, 0) + count
+    return {key: count for key, count in summed.items() if count}
+
+
+def _from_pairs(pairs, num_qubits: int) -> Counts:
+    keys, counts = [key for key, _ in pairs], [count for _, count in pairs]
+    return Counts.from_arrays(keys, counts, num_qubits)
+
+
+_PAIRS = st.lists(st.tuples(st.integers(0, 31), st.integers(0, 3)), max_size=20)
+
+
+@settings(max_examples=80, deadline=None)
+@given(num_qubits=st.integers(0, 5), pairs=_PAIRS, more=_PAIRS)
+def test_counts_match_a_dict_reference(num_qubits, pairs, more):
+    """Property: a histogram of ``(key, count)`` pairs is the plain dict
+    that sums duplicate keys and drops zero counts, held ascending."""
+    size = 1 << num_qubits
+    pairs = [(key % size, count) for key, count in pairs]
+    more = [(key % size, count) for key, count in more]
+    reference = _summed(pairs)
+    counts = _from_pairs(pairs, num_qubits)
+    assert counts == reference and dict(counts) == reference
+    assert Counts(dict(pairs), num_qubits) == _summed(dict(pairs).items())
+    assert list(counts) == counts.keys_array().tolist() == sorted(reference)
+    for array in (counts.keys_array(), counts.counts_array()):
+        assert array.dtype == np.int64 and not array.flags.writeable
+    restored = pickle.loads(pickle.dumps(counts))
+    assert restored == counts and not restored.keys_array().flags.writeable
+
+    assert counts.merge(_from_pairs(more, num_qubits)) == _summed(pairs + more)
+    flipped = counts.flip_all_bits()
+    assert flipped == {key ^ (size - 1): c for key, c in reference.items()}
+    assert list(flipped) == sorted(flipped)
+    assert flipped.flip_all_bits() == counts
+    assert counts.most_common() == sorted(
+        reference.items(), key=lambda item: (-item[1], item[0])
+    )
+    total = sum(reference.values())
+    for key in range(size):
+        if total:
+            assert counts.probability(key) == reference.get(key, 0) / total
+        else:
+            with pytest.raises(SimulationError):
+                counts.probability(key)
+    for key, row in zip(counts, counts.spins_matrix()):
+        assert row.tolist() == [1 - 2 * (key >> q & 1) for q in range(num_qubits)]
+
+    for key, count in pairs:
+        for bad_key, bad_count in ((-1 - key, count), (key + size, count),
+                                   (key, -1 - count)):
+            bad = pairs + [(bad_key, bad_count)]
+            with pytest.raises(SimulationError):
+                _from_pairs(bad, num_qubits)
+            with pytest.raises(SimulationError):
+                Counts(dict(bad), num_qubits)
 
 
 # ----------------------------------------------------------------------
@@ -541,6 +598,15 @@ class TestDepolarizingModel:
                               num_qubits=1, seed=3)
         assert counts.probability(1) == pytest.approx(0.25, abs=0.02)
 
+    @pytest.mark.parametrize("wires", [[0], [0, 1, 2, 0]], ids=["short", "long"])
+    def test_noisy_counts_measured_wires_length_checked(self, wires):
+        # A short list used to leave the unlisted qubits without readout
+        # error; a long one failed later with an unrelated error.
+        model = NoiseModel.uniform(3, readout_error=0.5)
+        with pytest.raises(SimulationError, match="measured_wires"):
+            noisy_counts(np.eye(8)[0], 1.0, model, 4000, 3,
+                         measured_wires=wires, seed=1)
+
     def test_flip_probabilities_from_factors(self):
         from repro.sim.depolarizing import flip_probabilities_from_factors
 
@@ -631,3 +697,18 @@ def test_uniform_distribution_expectation_is_offset(hamiltonian):
     uniform = np.full(1 << n, 1.0 / (1 << n))
     value = expectation_from_probabilities(hamiltonian, uniform)
     assert value == pytest.approx(hamiltonian.offset, abs=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hamiltonian=hamiltonian_strategy(max_qubits=5), seed=st.integers(0, 1000))
+def test_expectation_from_counts_matches_per_outcome_sum(hamiltonian, seed):
+    """Property: the one-pass empirical expectation equals the per-outcome
+    sum of ``count * C(spins)``, up to float summation order."""
+    n = hamiltonian.num_qubits
+    counts = sample_counts(np.ones(1 << n), 300, n, seed=seed)
+    reference = sum(
+        count * hamiltonian.evaluate([1 - 2 * (key >> q & 1) for q in range(n)])
+        for key, count in counts.items()
+    ) / counts.total_shots
+    value = expectation_from_counts(hamiltonian, counts)
+    assert value == pytest.approx(reference, rel=1e-12, abs=1e-12)
