@@ -18,12 +18,12 @@ submission and pool workers re-simulate it per job; it is a pure function
 of the frame and the parameters, so both give the same bits.
 
 Dependency contract: a job whose ``spec.warm_start_from`` (optimizer
-seeding), ``spec.params_from`` (parameter adoption), or ``spec.proxy_from``
-(proxy-optimum adoption) names a sibling must be trained *after* that
-sibling, with the sibling's shared optimums injected beforehand (see
-:func:`dependency_levels` and :func:`inject_warm_start`). Injection is a pure function of the source
-job's result, so the level schedule keeps backends deterministic and
-order-independent within each level.
+seeding) or ``spec.params_from`` (parameter adoption) names a sibling must
+be trained *after* that sibling, with the sibling's trained
+``(gammas, betas)`` injected beforehand (see :func:`dependency_levels`
+and :func:`inject_warm_start`). Injection is a pure function of the
+source job's result, so the level schedule keeps backends deterministic
+and order-independent within each level.
 
 Fault contract: every backend runs every job under a
 :class:`~repro.backend.policy.FaultPolicy` — the one given, else
@@ -123,14 +123,6 @@ class JobSpec:
             the proxy-landscape training path (train on the sparsified
             canonical-frame proxy, transfer, refine short). ``None`` runs
             the direct path.
-        proxy_from: job_id of the sibling that trains the *identical*
-            proxy (same canonical identity, same warm source) — this job
-            adopts that sibling's proxy optimum instead of re-deriving it,
-            then runs its own full-instance refinement. Backends execute
-            the source first and inject its ``proxy_params`` into this
-            job's ``proxy``; a missing source degrades to training the
-            proxy locally (bit-identical outcome — proxy training is
-            deterministic — just slower).
     """
 
     job_id: str
@@ -146,15 +138,12 @@ class JobSpec:
     params_from: "str | None" = None
     frame_mask: "int | None" = None
     proxy: "object | None" = None
-    proxy_from: "str | None" = None
 
     @property
     def depends_on(self) -> "str | None":
         """The sibling (if any) whose result this job needs before training."""
         if self.params_from is not None:
             return self.params_from
-        if self.proxy_from is not None:
-            return self.proxy_from
         return self.warm_start_from
 
 
@@ -513,16 +502,11 @@ def dependency_levels(jobs: Sequence[JobSpec]) -> list[list[int]]:
 
 
 def trained_params(result: JobResult) -> tuple:
-    """A finished job's injectable optimums: ``(full, proxy)``.
-
-    ``full`` is the ``(gammas, betas)`` the job settled on — what
-    ``params_from`` adoption and ``warm_start_from`` seeding consume.
-    ``proxy`` is the proxy-trained optimum (``None`` off the proxy path) —
-    what ``proxy_from`` adoption consumes. One entry shape serves all
-    three dependency kinds, so ``params_by_id`` stays a single dict.
-    """
+    """A finished job's injectable optimum: the ``(gammas, betas)`` it
+    settled on, which ``params_from`` adoption and ``warm_start_from``
+    seeding both consume."""
     optimization = result.run.optimization
-    return ((optimization.gammas, optimization.betas), optimization.proxy_params)
+    return (optimization.gammas, optimization.betas)
 
 
 def execute_jobs_serially(
@@ -591,11 +575,9 @@ def inject_warm_start(
     """Resolve a dependent job's source parameters into the spec.
 
     ``params_by_id`` maps finished job_ids to :func:`trained_params`
-    entries. ``params_from`` adopts the source's full-instance optimum
-    outright (the adopter skips optimization); ``proxy_from`` adopts the
-    source's *proxy* optimum (this job skips the proxy stage but still
-    refines on its own full instance); ``warm_start_from`` seeds the
-    optimizer via ``initial_params``. Jobs that already carry pre-trained
+    entries. ``params_from`` adopts the source's optimum outright (the
+    adopter skips optimization); ``warm_start_from`` seeds the optimizer
+    via ``initial_params``. Jobs that already carry pre-trained
     ``params`` or an explicit ``initial_params`` are returned unchanged,
     as are jobs whose source is missing from ``params_by_id`` (they
     simply train fresh — a degraded but correct outcome).
@@ -606,23 +588,13 @@ def inject_warm_start(
         entry = params_by_id.get(spec.params_from)
         if entry is None:
             return spec
-        return replace(spec, params=entry[0])
-    if spec.proxy_from is not None:
-        entry = params_by_id.get(spec.proxy_from)
-        if (
-            entry is None
-            or entry[1] is None
-            or spec.proxy is None
-            or spec.proxy.params is not None
-        ):
-            return spec
-        return replace(spec, proxy=replace(spec.proxy, params=entry[1]))
+        return replace(spec, params=entry)
     if spec.warm_start_from is None or spec.initial_params is not None:
         return spec
     entry = params_by_id.get(spec.warm_start_from)
     if entry is None:
         return spec
-    return replace(spec, initial_params=entry[0])
+    return replace(spec, initial_params=entry)
 
 
 class ExecutionBackend(ABC):

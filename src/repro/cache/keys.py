@@ -208,33 +208,6 @@ def params_key(
     )
 
 
-def proxy_params_key(
-    identity: str,
-    num_layers: int,
-    grid_resolution: int,
-    maxiter: int,
-    ratio: float,
-) -> str:
-    """Cache key of one *proxy* training run's ``(gammas, betas)`` outcome.
-
-    ``identity`` is the sub-problem's canonical digest (see
-    :func:`canonical_ising_key`) — or its exact fingerprint when the
-    canonical search was budget-capped — so one cached proxy training
-    serves every sibling, sweep repeat, and mirror pair equivalent to it
-    under relabeling/flip. The remaining arguments pin everything else the
-    proxy training is a deterministic function of: the reduction ratio
-    (which selects the proxy instance given the identity-derived seed) and
-    the optimizer knobs. Noise plays no part: proxies always train on the
-    ideal objective. The ``opt=lbfgs|engine=vec`` tokens name the
-    refiner and evaluation engine; they keep the spelling earlier releases
-    wrote, so warm disk caches stay valid.
-    """
-    return _sha(
-        f"proxy-params|{identity}|p={num_layers}|grid={grid_resolution}|"
-        f"maxiter={maxiter}|ratio={_ftok(ratio)}|opt=lbfgs|engine=vec"
-    )
-
-
 # ----------------------------------------------------------------------
 # Canonical (symmetry-aware) Ising keys
 # ----------------------------------------------------------------------

@@ -75,6 +75,7 @@ from repro.qaoa.executor import (
     value_and_grad_objective,
 )
 from repro.qaoa.optimizer import OptimizationResult, optimize_qaoa
+from repro.reduction.proxy import plan_proxy
 from repro.sim.depolarizing import flip_probabilities_from_factors, noisy_counts
 from repro.sim.qaoa_kernel import qaoa_probabilities
 from repro.sim.sampling import Counts, OutcomeTable, sample_counts
@@ -123,9 +124,9 @@ class SolverConfig:
             collapses from ``maxiter`` to ``proxy_refine_maxiter``.
             Default ``False``: the proxy path changes trained parameters
             (a different, equally valid optimum), so today's behaviour is
-            pinned bit-identically behind the flag. Proxy trainings are
-            canonical-frame and cached/deduplicated across equivalent
-            siblings, sweeps, and mirror pairs.
+            pinned bit-identically behind the flag. Proxy outcomes are
+            shared like direct ones: by landscape class within a solve,
+            and through the p = 1 trained-parameter cache across solves.
         proxy_ratio: Fraction of edges and nodes the sparsifier keeps, in
             (0, 1] (MST-connectivity always guarded). Smaller = cheaper
             proxy, coarser landscape. The 0.7 default keeps the
@@ -259,48 +260,33 @@ def _train_with_proxy(
 ) -> OptimizationResult:
     """Proxy-landscape training: train small, transfer, refine short.
 
-    Stage 1 trains on the canonical-frame proxy instance (skipped when the
-    proxy optimum arrived pre-trained from cache or a sibling) — seeded by
-    the spec's own digest-derived seed, so the job's ``rng`` stream is
-    untouched regardless of whether stage 1 runs. A sibling warm start
-    (``initial_params``) seeds the *proxy* optimizer. Stage 2 transfers
-    the proxy optimum to the full instance as the refinement's initial
-    point under *hybrid seeding*: the transfer competes against the
-    fresh-start candidates in one batched evaluation and refinement
-    descends from the winner — so even a poor-basin transfer never
-    displaces a better cold start.
+    Stage 1 trains on the canonical-frame proxy instance, seeded by the
+    spec's own digest-derived seed, so the job's ``rng`` stream is
+    untouched by it. A sibling warm start (``initial_params``) seeds the
+    *proxy* optimizer. Stage 2 transfers the proxy optimum to the full
+    instance as the refinement's initial point under *hybrid seeding*:
+    the transfer competes against the fresh-start candidates in one
+    batched evaluation and refinement descends from the winner — so even
+    a poor-basin transfer never displaces a better cold start.
 
     Accounting: full-instance evaluations stay in ``num_evaluations``;
     proxy evaluations are counted separately (the bench gate measures the
     former).
     """
-    transfer = proxy.params
-    proxy_evals = 0
-    proxy_grad_evals = 0
-    warm_started = False
-    warm_start_rejected = False
-    if transfer is None:
-        proxy_context = make_context(
-            proxy.hamiltonian, num_layers=cfg.num_layers
-        )
-        proxy_opt = _optimize_on(
-            proxy_context,
-            cfg,
-            proxy.seed,
-            initial_params,
-            cfg.maxiter,
-            noisy=False,
-        )
-        transfer = (proxy_opt.gammas, proxy_opt.betas)
-        proxy_evals = proxy_opt.num_evaluations
-        proxy_grad_evals = proxy_opt.num_gradient_evaluations
-        warm_started = proxy_opt.warm_started
-        warm_start_rejected = proxy_opt.warm_start_rejected
+    proxy_context = make_context(proxy.hamiltonian, num_layers=cfg.num_layers)
+    proxy_opt = _optimize_on(
+        proxy_context,
+        cfg,
+        proxy.seed,
+        initial_params,
+        cfg.maxiter,
+        noisy=False,
+    )
     refined = _optimize_on(
         context,
         cfg,
         rng,
-        transfer,
+        (proxy_opt.gammas, proxy_opt.betas),
         cfg.proxy_refine_maxiter,
         noisy=cfg.train_noisy,
         hybrid_seeding=True,
@@ -312,13 +298,13 @@ def _train_with_proxy(
         num_evaluations=refined.num_evaluations,
         num_gradient_evaluations=refined.num_gradient_evaluations,
         history=refined.history,
-        warm_started=warm_started,
-        warm_start_rejected=warm_start_rejected,
-        num_proxy_evaluations=proxy_evals,
-        num_proxy_gradient_evaluations=proxy_grad_evals,
+        warm_started=proxy_opt.warm_started,
+        warm_start_rejected=proxy_opt.warm_start_rejected,
+        num_proxy_evaluations=proxy_opt.num_evaluations,
+        num_proxy_gradient_evaluations=proxy_opt.num_gradient_evaluations,
         proxy_params=(
-            tuple(float(g) for g in transfer[0]),
-            tuple(float(b) for b in transfer[1]),
+            tuple(float(g) for g in proxy_opt.gammas),
+            tuple(float(b) for b in proxy_opt.betas),
         ),
         proxy_transferred=refined.warm_started,
         proxy_num_qubits=proxy.hamiltonian.num_qubits,
@@ -353,9 +339,9 @@ def train_qaoa_instance(
             fresh-start fallback when the transfer evaluates poorly. On
             the proxy path this seeds the *proxy* optimizer.
         proxy: A :class:`~repro.reduction.ProxySpec` selecting the
-            proxy-landscape path: train on the sparsified proxy (or adopt
-            its pre-trained ``params``), then refine the transfer on the
-            full instance under ``config.proxy_refine_maxiter``.
+            proxy-landscape path: train on the sparsified proxy, then
+            refine the transfer on the full instance under
+            ``config.proxy_refine_maxiter``.
     """
     cfg = config or SolverConfig()
     rng = ensure_rng(seed)
@@ -666,9 +652,9 @@ class FrozenQubitsResult:
             so the two are comparable across the direct and proxy paths.
         num_proxy_gradient_evaluations: Gradient passes on proxy
             instances, same convention.
-        num_proxy_trained: Executed cells that actually ran a proxy
-            optimization (cells that adopted a cached or sibling proxy
-            optimum don't count — they paid no proxy evaluations).
+        num_proxy_trained: Executed cells that ran a proxy optimization:
+            every job that carries a proxy plan. Class members and p = 1
+            cache hits adopt finished parameters and carry none.
         num_proxy_transferred: Executed cells whose full-instance
             refinement accepted the transferred proxy optimum.
         cache_stats: Per-kind hit/miss/store counters this solve moved on
@@ -815,10 +801,6 @@ class PreparedSolve:
             landscape-class trainers whose training outcome is cacheable
             (p = 1); finalize stores each freshly-trained result under its
             key.
-        proxy_keys: job_id -> proxy-training cache key, for the jobs whose
-            proxy optimum is cacheable (fresh-mode trainings: no warm
-            start, no sibling adoption); finalize stores each one so later
-            equivalent sub-problems — in any solve — skip the proxy stage.
     """
 
     hamiltonian: IsingHamiltonian
@@ -833,7 +815,6 @@ class PreparedSolve:
     plan: "FreezePlan | None" = None
     warm_start: bool = False
     params_keys: dict = field(default_factory=dict)
-    proxy_keys: dict = field(default_factory=dict)
 
 
 def _assert_own_coefficients(
@@ -961,7 +942,9 @@ class FrozenQubitsSolver:
         flips relative to the trainer), so the class samples one simulated
         distribution. With warm starts enabled, the first executed cell is
         the representative and every other class trainer carries
-        ``warm_start_from`` metadata pointing at it.
+        ``warm_start_from`` metadata pointing at it. With proxy training
+        on, every class trainer without cached parameters carries its
+        :func:`~repro.reduction.plan_proxy` plan.
 
         Args:
             hamiltonian: Parent Ising problem.
@@ -1123,38 +1106,8 @@ class FrozenQubitsSolver:
                 executed[0].hamiltonian, noise_signature, mode="fresh"
             )
 
-        # Proxy-landscape planning (the Red-QAOA path): build each class
-        # trainer's canonical-frame proxy up front and answer what can be
-        # answered from cache. The proxy optimizer's seed is derived from
-        # the canonical digest — never drawn from the solve stream — so
-        # planning here consumes no randomness and cache hits change no
-        # downstream bit.
-        proxy_plans: dict[int, object] = {}
-        if cfg.proxy_training:
-            from dataclasses import replace as dc_replace
-
-            from repro.reduction import plan_proxy
-
-            for sp in executed:
-                if sp.index in adopts_from:
-                    continue
-                proxy_spec = plan_proxy(sp.hamiltonian, cfg)
-                if proxy_spec is None:
-                    continue
-                if self._cache is not None and proxy_spec.cache_key is not None:
-                    hit = self._cache.get(
-                        "proxy_params",
-                        proxy_spec.cache_key,
-                        rebuild=params_rebuild,
-                    )
-                    if hit is not None:
-                        proxy_spec = dc_replace(proxy_spec, params=hit)
-                proxy_plans[sp.index] = proxy_spec
-
         jobs: list[JobSpec] = []
         edited = 0
-        proxy_keys: dict[str, str] = {}
-        proxy_trainer_by_key: dict[tuple, str] = {}
         for sp in executed:
             job_template: "TranspiledCircuit | None" = None
             if template_compiled is not None:
@@ -1198,35 +1151,17 @@ class FrozenQubitsSolver:
                 )
                 if cached_params is not None:
                     warm_source = None
+            # Proxy-landscape planning (the Red-QAOA path) for every class
+            # trainer that still trains. The proxy's seed derives from its
+            # canonical digest, never from the solve stream, so planning
+            # consumes no randomness.
             proxy_spec = None
-            proxy_from = None
-            if cached_params is None and params_from is None:
-                proxy_spec = proxy_plans.get(sp.index)
-            if proxy_spec is not None:
-                if proxy_spec.params is not None:
-                    # The proxy optimum is already known (cache hit): the
-                    # transfer replaces the sibling warm start outright.
-                    warm_source = None
-                else:
-                    # Within-solve dedup: trainers whose proxy *and* warm
-                    # source coincide would train the identical proxy —
-                    # the first one trains, the rest adopt its optimum
-                    # (injected at the backend's dependency levels).
-                    adopt_key = (proxy_spec.cache_key, warm_source)
-                    trainer = proxy_trainer_by_key.get(adopt_key)
-                    if trainer is None:
-                        proxy_trainer_by_key[adopt_key] = job_id
-                        # Only fresh-mode (un-warm-started) trainings are
-                        # cacheable under the canonical key.
-                        if (
-                            warm_source is None
-                            and self._cache is not None
-                            and proxy_spec.cache_key is not None
-                        ):
-                            proxy_keys[job_id] = proxy_spec.cache_key
-                    else:
-                        proxy_from = trainer
-                        warm_source = None
+            if (
+                cfg.proxy_training
+                and cached_params is None
+                and params_from is None
+            ):
+                proxy_spec = plan_proxy(sp.hamiltonian, cfg)
             jobs.append(
                 JobSpec(
                     job_id=job_id,
@@ -1241,7 +1176,6 @@ class FrozenQubitsSolver:
                     params_from=params_from,
                     frame_mask=frame_masks[sp.index] if shared else None,
                     proxy=proxy_spec,
-                    proxy_from=proxy_from,
                 )
             )
         return PreparedSolve(
@@ -1257,7 +1191,6 @@ class FrozenQubitsSolver:
             plan=plan,
             warm_start=warm,
             params_keys=params_keys,
-            proxy_keys=proxy_keys,
         )
 
     def _params_key(
@@ -1385,27 +1318,6 @@ class FrozenQubitsSolver:
                 trained = (opt.gammas, opt.betas)
                 self._cache.put(
                     "params", key, trained, payload=params_payload(trained)
-                )
-        # Same for fresh proxy trainings: store each canonical-frame proxy
-        # optimum under its canonical-identity key so every equivalent
-        # sub-problem — in this sweep or any later one — skips the proxy
-        # stage entirely. Warm-started or adopted proxies store nothing
-        # (their keys were never recorded; see prepare_jobs).
-        if self._cache is not None and prepared.proxy_keys:
-            for job, job_result in zip(prepared.jobs, job_results):
-                if job_result.run is None:
-                    continue  # failed job: nothing trained to store
-                key = prepared.proxy_keys.get(job.job_id)
-                if key is None:
-                    continue
-                proxy_trained = job_result.run.optimization.proxy_params
-                if proxy_trained is None:
-                    continue
-                self._cache.put(
-                    "proxy_params",
-                    key,
-                    proxy_trained,
-                    payload=params_payload(proxy_trained),
                 )
         # Budget-pruned cells and failed jobs share one batched fallback
         # pass (siblings share a coupling graph, so the engine sweeps the

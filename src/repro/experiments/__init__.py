@@ -13,7 +13,6 @@ from repro.experiments.workloads import (
     ba_suite,
     regular_suite,
     sk_suite,
-    solve_suite,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "render_table",
     "rows_to_csv",
     "sk_suite",
-    "solve_suite",
 ]

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
 
-from repro.core.batch import solve_many
-from repro.core.solver import FrozenQubitsResult, SolverConfig
 from repro.exceptions import ReproError
 from repro.graphs.generators import (
     barabasi_albert_graph,
@@ -24,12 +21,6 @@ from repro.graphs.generators import (
 from repro.graphs.model import ProblemGraph
 from repro.ising.hamiltonian import IsingHamiltonian
 from repro.utils.rng import spawn_seeds
-
-if TYPE_CHECKING:
-    from repro.backend.base import ExecutionBackend
-    from repro.cache.store import SolveCache
-    from repro.planning.budget import ExecutionBudget
-    from repro.planning.planner import FreezePlan
 
 
 @dataclass(frozen=True)
@@ -135,53 +126,3 @@ def sk_suite(
         seed,
     )
 
-
-def solve_suite(
-    instances: "Iterable[WorkloadInstance]",
-    num_frozen: int = 1,
-    device=None,
-    backend: "ExecutionBackend | str | None" = None,
-    config: "SolverConfig | None" = None,
-    seed: int = 0,
-    budget: "ExecutionBudget | None" = None,
-    plans: "FreezePlan | list[FreezePlan | None] | None" = None,
-    warm_start: "bool | None" = None,
-    cache: "SolveCache | bool | None" = None,
-) -> list[tuple[WorkloadInstance, FrozenQubitsResult]]:
-    """Solve a whole workload suite through one backend submission.
-
-    Thin suite-level wrapper over :func:`repro.core.solve_many`: every
-    instance's sub-problem jobs go to the backend as one queue, so process
-    pools stay saturated across instance boundaries.
-
-    Args:
-        instances: Workload instances (any of the suite builders' output).
-        num_frozen: Qubits to freeze per instance, m.
-        device: Optional shared device model.
-        backend: Execution backend (instance, name, or session default).
-        config: Shared runner knobs.
-        seed: Parent seed; each instance gets a spawned child seed.
-        budget: Execution budget applied to every instance's fan-out.
-        plans: Freeze plan(s) — see :func:`repro.core.solve_many`.
-        warm_start: Cross-sibling warm starts for every instance.
-        cache: Solve cache shared by the suite — repeated trials of
-            structurally identical instances transpile/train once (see
-            :func:`repro.core.solve_many`).
-
-    Returns:
-        ``(instance, result)`` pairs in input order.
-    """
-    instances = list(instances)
-    results = solve_many(
-        instances,
-        num_frozen=num_frozen,
-        device=device,
-        backend=backend,
-        config=config,
-        seed=seed,
-        budget=budget,
-        plans=plans,
-        warm_start=warm_start,
-        cache=cache,
-    )
-    return list(zip(instances, results))

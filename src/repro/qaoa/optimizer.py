@@ -75,13 +75,13 @@ class OptimizationResult:
         num_proxy_evaluations: Objective calls spent on the *proxy*
             instance, counted separately from ``num_evaluations`` (which
             stays full-instance-only) so evaluation budgets compare
-            honestly across the direct and proxy paths. 0 when the proxy
-            optimum was adopted from cache or a sibling.
+            honestly across the direct and proxy paths. 0 when training
+            was skipped (pre-trained parameters).
         num_proxy_gradient_evaluations: Gradient passes on the proxy,
             same convention.
         proxy_params: The proxy-trained ``(gammas, betas)`` that seeded
-            the full-instance refinement (``None`` off the proxy path) —
-            canonical-frame trained, so siblings can adopt it directly.
+            the full-instance refinement (``None`` off the proxy path).
+            Provenance only: nothing reads it back into a training.
         proxy_transferred: True when the full-instance refinement
             *accepted* the transferred proxy optimum (it beat the
             untrained baseline); False when it was rejected and the

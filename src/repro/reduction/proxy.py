@@ -1,28 +1,26 @@
-"""Proxy-training plans: canonical-frame proxies + parameter transfer keys.
+"""Proxy-training plans: canonical-frame proxies with digest-derived seeds.
 
 The solve path trains QAOA parameters on a sparsified *proxy* of each
 sub-problem (see :mod:`repro.reduction.sparsify`) and transfers them to
-the full instance for a short gradient refinement. Everything here is
-arranged so the proxy training is a pure function of the sub-problem's
-*canonical* identity:
+the full instance for a short gradient refinement. The canonical frame
+fixes two things about the proxy, and nothing else:
 
-* The proxy is built from the **canonical instance** — the sub-problem
-  relabeled (and possibly ``h``-flipped) by its
+* **Its labels.** The proxy is built from the **canonical instance** —
+  the sub-problem relabeled (and possibly ``h``-flipped) by its
   :func:`~repro.cache.keys.canonical_ising_key` witness. QAOA parameters
   are label-free, and the global flip maps one landscape onto the other
   with the *same* optimal angles (conjugating by ``X^{\\otimes n}``
   commutes with the mixer and negates only the frame, not the
-  expectation), so training in the canonical frame loses nothing — and
-  makes the trained ``(gammas, betas)`` bit-identical across relabeled
-  siblings, sweep repeats, and mirror pairs.
+  expectation), so training in the canonical frame loses nothing.
 
-* The proxy optimizer's seed is derived from the canonical digest, not
-  drawn from the job's RNG stream — so a cache hit (skipping the proxy
-  training entirely) leaves the job's sampling stream exactly where a
-  live training would have, preserving the solve-level bit-identity
-  contract.
+* **Its seed.** The sparsifier's and the proxy optimizer's seed is
+  derived from the canonical digest, not drawn from the job's RNG stream
+  — so planning consumes no randomness, and the job's sampling stream is
+  the same whether or not the proxy stage runs.
 
-:func:`plan_proxy` packages all of it into a picklable :class:`ProxySpec`
+Proxy outcomes are shared the same way as direct ones: by landscape class
+within a solve and by the p = 1 trained-parameter cache across solves.
+:func:`plan_proxy` packages the plan into a picklable :class:`ProxySpec`
 that rides on the job spec into whichever backend worker trains it.
 """
 
@@ -33,12 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cache.keys import (
-    CanonicalKey,
-    canonical_ising_key,
-    ising_fingerprint,
-    proxy_params_key,
-)
+from repro.cache.keys import CanonicalKey, canonical_ising_key, ising_fingerprint
 from repro.ising.hamiltonian import IsingHamiltonian
 from repro.reduction.sparsify import ReductionReport, reduce_ising
 
@@ -61,21 +54,12 @@ class ProxySpec:
         hamiltonian: The canonical-frame proxy instance to train on.
         seed: Deterministic optimizer seed, derived from the canonical
             digest — never from the job's stream (see module docstring).
-        cache_key: Where a *fresh* (un-warm-started) proxy training's
-            outcome is cached; shared by every equivalent sub-problem.
         report: The sparsifier's similarity/reduction accounting.
-        params: Pre-trained proxy ``(gammas, betas)`` when already known —
-            from a cache hit at prepare time, or injected from a sibling
-            that trained the identical proxy earlier in the same solve
-            (``proxy_from``). Training is skipped; transfer + refinement
-            still run.
     """
 
     hamiltonian: IsingHamiltonian
     seed: int
-    cache_key: "str | None"
     report: ReductionReport
-    params: "tuple[tuple[float, ...], tuple[float, ...]] | None" = None
 
 
 def canonical_instance(
@@ -87,7 +71,7 @@ def canonical_instance(
     negate ``h`` when ``flipped`` — so every instance equivalent under
     relabeling/flip maps to the *same* canonical instance, bit for bit.
     Budget-capped keys (``complete=False``) carry no witness; the
-    instance is returned unchanged and sharing degrades to exact matches.
+    instance is returned unchanged and seeds from its exact fingerprint.
     """
     key = canonical_ising_key(hamiltonian)
     if not key.complete:
@@ -140,16 +124,4 @@ def plan_proxy(
         and proxy.num_terms >= hamiltonian.num_terms
     ):
         return None
-    cache_key = proxy_params_key(
-        identity,
-        num_layers=config.num_layers,
-        grid_resolution=config.grid_resolution,
-        maxiter=config.maxiter,
-        ratio=config.proxy_ratio,
-    )
-    return ProxySpec(
-        hamiltonian=proxy,
-        seed=seed,
-        cache_key=cache_key,
-        report=reduced.report,
-    )
+    return ProxySpec(hamiltonian=proxy, seed=seed, report=reduced.report)

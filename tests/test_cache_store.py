@@ -25,12 +25,7 @@ from repro.cache import (
     stats_delta,
     summarize_stats,
 )
-from repro.cache.keys import (
-    anneal_key,
-    ising_fingerprint,
-    params_key,
-    proxy_params_key,
-)
+from repro.cache.keys import anneal_key, ising_fingerprint, params_key
 from repro.cache.memo import params_payload, params_rebuild
 from repro.devices import get_backend
 from repro.exceptions import CacheError
@@ -324,12 +319,12 @@ def test_cached_transpile_round_trips_through_disk(tmp_path, problem):
 
 
 def test_cache_key_spellings_stay_stable():
-    """The anneal, params and proxy-params keys hash to the digests that
-    earlier releases wrote, so a warm ``--cache-dir`` keeps answering.
+    """The anneal and params keys hash to the digests that earlier
+    releases wrote, so a warm ``--cache-dir`` keeps answering.
 
     Each key ends in a constant engine token (``|vectorized``,
-    ``|opt=lbfgs``, ``opt=lbfgs|engine=vec``); dropping one changes every
-    digest and silently cold-starts existing caches.
+    ``|opt=lbfgs``); dropping one changes every digest and silently
+    cold-starts existing caches.
     """
     h = IsingHamiltonian(
         4,
@@ -353,9 +348,6 @@ def test_cache_key_spellings_stay_stable():
         noise_signature="ideal",
         mode="fresh",
     ) == "67e4b2232f6f307cafe6a887d86d8ccbb0c446800c0d7522ed84096a6b6df631"
-    assert proxy_params_key(
-        fingerprint, num_layers=2, grid_resolution=12, maxiter=60, ratio=0.7
-    ) == "1a003eb7a2e64a46a9e4d1527ef1f94b9eb8573635e2fdaa86337a15ec402b57"
 
 
 def test_cached_wrappers_are_transparent_without_a_cache(problem):

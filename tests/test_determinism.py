@@ -178,3 +178,58 @@ def test_solve_many_batch_cache_bit_identical(problem):
     warmed = solve_many(problems, cache=cache, **kwargs)
     assert [result_signature(r) for r in warmed] == reference
     assert warmed[0].cache_stats["params"]["memory_hits"] > 0
+
+
+def _proxy_problem() -> IsingHamiltonian:
+    # At m = 3, class trainers sp0 and sp1 plan the same canonical proxy.
+    # With warm starts on, sp0 trains it fresh and sp1 from sp0's optimum,
+    # so their two proxy optimums differ. At m = 4 two pairs of class
+    # trainers plan a shared proxy each.
+    graph = barabasi_albert_graph(14, attachment=2, seed=105)
+    return IsingHamiltonian.from_graph(graph, weights="random_pm1", seed=205)
+
+
+def _proxy_solver(num_frozen, num_layers, warm_start, cache=False):
+    config = SolverConfig(
+        num_layers=num_layers,
+        proxy_training=True,
+        grid_resolution=4,
+        maxiter=10,
+        shots=256,
+    )
+    return FrozenQubitsSolver(
+        num_frozen=num_frozen,
+        prune_symmetric=False,
+        config=config,
+        seed=1,
+        warm_start=warm_start,
+        cache=cache,
+    )
+
+
+def test_cached_warm_started_proxy_solve_equals_uncached():
+    """At p = 2 the cache holds no trained parameters, so a cached proxy
+    solve must train exactly what the uncached one trains — including the
+    warm-started class trainers, whatever an earlier solve stored."""
+    problem = _proxy_problem()
+    device = get_backend("montreal")
+    reference = result_signature(
+        _proxy_solver(3, 2, warm_start=True).solve(problem, device)
+    )
+    cache = SolveCache()
+    for _ in range(2):
+        cached = _proxy_solver(3, 2, warm_start=True, cache=cache)
+        assert result_signature(cached.solve(problem, device)) == reference
+
+
+def test_every_job_carrying_a_proxy_trains_it():
+    """Proxy outcomes are shared by landscape class only: each class
+    trainer with a proxy plan runs its own proxy optimization, even when
+    another trainer's proxy is the same canonical instance."""
+    problem = _proxy_problem()
+    device = get_backend("montreal")
+    solver = _proxy_solver(4, 1, warm_start=False)
+    prepared = solver.prepare_jobs(problem, device)
+    carrying = sum(1 for job in prepared.jobs if job.proxy is not None)
+    assert carrying == 8
+    assert solver.solve(problem, device).num_proxy_trained == carrying

@@ -2,10 +2,15 @@
 
 The load-bearing invariants: the MST guard never disconnects a connected
 instance, the proxy's degree profile stays close to the original's, the
-whole reduction is a pure function of (instance, ratio, seed), canonical
-framing shares one proxy across relabeled/flipped equivalents, and the
-transfer-plus-refine path never lands on a worse optimum than a cold
-start given the same full-instance budget.
+whole reduction is a pure function of (instance, ratio, seed), and
+canonical framing gives relabeled/flipped equivalents one proxy and one
+seed.
+
+One test pins a single instance (BA(14, 3), graph seed 72) on which the
+transfer-plus-refine path reaches an equal-or-better EV than a cold start
+with more full-instance evaluations. That is not a general property:
+with the test's own config on BA(14, 3), graph seeds 60-89 and weight
+seed + 1, it holds on only 16 of 30 instances.
 """
 
 import dataclasses
@@ -13,7 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.cache import cache_from_dir, ising_fingerprint
+from repro.cache import ising_fingerprint
 from repro.core import FrozenQubitsSolver, SolverConfig
 from repro.core.solver import train_qaoa_instance
 from repro.devices import get_backend
@@ -183,28 +188,33 @@ class TestPlanProxy:
         spec_a = plan_proxy(problem, config)
         spec_b = plan_proxy(mirrored, config)
         assert spec_a is not None and spec_b is not None
-        assert spec_a.cache_key == spec_b.cache_key
         assert spec_a.seed == spec_b.seed
         assert ising_fingerprint(spec_a.hamiltonian) == ising_fingerprint(
             spec_b.hamiltonian
         )
 
     def test_ratio_changes_cache_key(self):
+        """The ratio selects the proxy: same seed, different instance."""
         problem = _problem(12, 3, seed=62)
-        key_a = plan_proxy(
+        spec_a = plan_proxy(
             problem, SolverConfig(proxy_training=True, proxy_ratio=0.5)
-        ).cache_key
-        key_b = plan_proxy(
+        )
+        spec_b = plan_proxy(
             problem, SolverConfig(proxy_training=True, proxy_ratio=0.8)
-        ).cache_key
-        assert key_a != key_b
+        )
+        assert spec_a.seed == spec_b.seed
+        assert spec_a.hamiltonian.num_qubits == 8
+        assert spec_b.hamiltonian.num_qubits == 12
+        assert ising_fingerprint(spec_a.hamiltonian) != ising_fingerprint(
+            spec_b.hamiltonian
+        )
 
     def test_plan_is_deterministic(self):
         config = SolverConfig(proxy_training=True)
         problem = _problem(14, 3, seed=63)
         spec_a = plan_proxy(problem, config)
         spec_b = plan_proxy(problem, config)
-        assert spec_a.cache_key == spec_b.cache_key
+        assert spec_a.seed == spec_b.seed
         assert spec_a.report == spec_b.report
         assert ising_fingerprint(spec_a.hamiltonian) == ising_fingerprint(
             spec_b.hamiltonian
@@ -221,9 +231,15 @@ class TestProxyTraining:
     )
 
     def test_transfer_refine_beats_cold_start_at_same_budget(self):
-        """At matched (here: ~3x larger for cold) full-instance evaluation
-        budgets, the proxy-transferred solve must reach an equal-or-better
-        EV than cold training — the Red-QAOA claim the engine rests on."""
+        """On graph seed 72, the proxy-transferred solve reaches an
+        equal-or-better EV than cold training that spends more (here ~3x)
+        full-instance evaluations.
+
+        This pins one instance where the Red-QAOA claim holds, not the
+        claim itself: with this config on BA(14, 3), graph seeds 60-89 and
+        weight seed + 1, the proxy solve's ``ev_ideal`` is at or below the
+        cold solve's on only 16 of 30 instances.
+        """
         problem = _problem(14, 3, seed=72)
         device = get_backend("montreal")
         warm = FrozenQubitsSolver(
@@ -265,23 +281,6 @@ class TestProxyTraining:
         assert warm.optimization.proxy_params is not None
         assert cold.optimization.num_proxy_evaluations == 0
 
-    def test_pretrained_proxy_params_skip_proxy_stage(self):
-        problem = _problem(12, 3, seed=71)
-        proxy = plan_proxy(problem, self.CONFIG)
-        trained = train_qaoa_instance(
-            problem, config=self.CONFIG, seed=9, proxy=proxy
-        )
-        adopted_spec = dataclasses.replace(
-            proxy, params=trained.optimization.proxy_params
-        )
-        adopted = train_qaoa_instance(
-            problem, config=self.CONFIG, seed=9, proxy=adopted_spec
-        )
-        assert adopted.optimization.num_proxy_evaluations == 0
-        assert adopted.optimization.gammas == trained.optimization.gammas
-        assert adopted.optimization.betas == trained.optimization.betas
-        assert adopted.optimization.value == trained.optimization.value
-
     def test_solve_backends_bit_identical_with_proxy_on(self):
         problem = _problem(14, 3, seed=72)
         device = get_backend("montreal")
@@ -303,26 +302,6 @@ class TestProxyTraining:
             assert other.ev_ideal == first.ev_ideal
             assert other.num_proxy_evaluations == first.num_proxy_evaluations
             assert other.num_proxy_trained == first.num_proxy_trained
-
-    def test_cache_hit_skips_proxy_training_bit_identically(self, tmp_path):
-        problem = _problem(14, 3, seed=73)
-        device = get_backend("montreal")
-        cache = cache_from_dir(tmp_path)
-        solver = FrozenQubitsSolver(
-            num_frozen=3,
-            prune_symmetric=False,
-            config=self.CONFIG,
-            seed=13,
-            cache=cache,
-        )
-        first = solver.solve(problem, device)
-        second = solver.solve(problem, device)
-        assert first.num_proxy_trained > 0
-        assert second.num_proxy_trained == 0
-        assert second.num_proxy_evaluations == 0
-        assert second.ev_ideal == first.ev_ideal
-        assert second.best_value == first.best_value
-        assert second.best_spins == first.best_spins
 
     def test_flag_off_is_the_default(self):
         assert SolverConfig().proxy_training is False
