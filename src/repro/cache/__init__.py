@@ -52,6 +52,7 @@ from repro.cache.memo import (
     cached_simulated_annealing,
     cached_transpile,
     memoized_distance_matrix,
+    memoized_phase_levels,
     memoized_spectrum,
 )
 from repro.cache.store import (
@@ -146,6 +147,7 @@ __all__ = [
     "get_default_cache",
     "ising_fingerprint",
     "memoized_distance_matrix",
+    "memoized_phase_levels",
     "memoized_spectrum",
     "params_key",
     "rehydrate_spins",

@@ -20,8 +20,9 @@ exactly what the underlying call would have recomputed:
   exact instance fingerprint.
 
 Process-wide derived-structure memos live here too:
-:func:`memoized_spectrum` (energy tables) and
-:func:`memoized_distance_matrix` (all-pairs coupling distances) — both
+:func:`memoized_spectrum` (energy tables), :func:`memoized_phase_levels`
+(their distinct phases and compact index) and
+:func:`memoized_distance_matrix` (all-pairs coupling distances) — all
 fingerprint-keyed LRUs over read-only arrays, independent of any
 :class:`~repro.cache.store.SolveCache`.
 
@@ -50,6 +51,7 @@ from repro.ising.annealer import AnnealResult
 from repro.ising.annealer_batched import anneal_many
 from repro.ising.bruteforce import BruteForceResult, brute_force_minimum
 from repro.ising.hamiltonian import IsingHamiltonian
+from repro.sim.qaoa_kernel import PhaseLevels
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
@@ -84,6 +86,33 @@ def memoized_spectrum(hamiltonian: IsingHamiltonian) -> np.ndarray:
     return _SPECTRUM_MEMO.get_or_build(
         ising_fingerprint(hamiltonian), hamiltonian.energy_landscape
     )
+
+
+#: Process-wide level memo beside the spectrum memo: same key, same bound.
+_LEVEL_MEMO: "BoundedMemo[PhaseLevels]" = BoundedMemo(max_entries=64)
+
+
+def memoized_phase_levels(hamiltonian: IsingHamiltonian) -> PhaseLevels:
+    """The spectrum's distinct phases and compact index, shared across
+    equal instances.
+
+    Built once per fingerprint from :func:`memoized_spectrum` (one
+    ``np.unique``), so every cost layer of the fused kernel exponentiates
+    each distinct energy once and gathers. The arrays are read-only and
+    shared — never mutate them. Memory trade-off: up to 64 entries of one
+    ``uint8`` (``uint16`` above 256 levels) per basis state plus the
+    levels.
+    """
+
+    def build() -> PhaseLevels:
+        levels = PhaseLevels.from_spectrum(
+            memoized_spectrum(hamiltonian), hamiltonian.offset
+        )
+        levels.values.setflags(write=False)
+        levels.index.setflags(write=False)
+        return levels
+
+    return _LEVEL_MEMO.get_or_build(ising_fingerprint(hamiltonian), build)
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,7 @@ from repro.cache.memo import (
     cached_anneal_many,
     cached_simulated_annealing,
     cached_transpile,
-    memoized_spectrum,
+    memoized_phase_levels,
     params_payload,
     params_rebuild,
 )
@@ -67,9 +67,8 @@ from repro.ising.symmetry import landscape_class, landscape_frame
 from repro.qaoa.circuits import build_qaoa_template, linear_tag
 from repro.qaoa.executor import (
     EvaluationContext,
+    _evaluate_point,
     batch_objective,
-    evaluate_ideal,
-    evaluate_noisy,
     make_context,
     noise_profile_for_transpiled,
     value_and_grad_objective,
@@ -352,28 +351,31 @@ def train_qaoa_instance(
             device=device,
             transpile_options=cfg.transpile_options,
         )
-    objective = evaluate_noisy if cfg.train_noisy else evaluate_ideal
+    if params is None:
+        if proxy is not None:
+            optimization = _train_with_proxy(
+                context, cfg, rng, proxy, initial_params
+            )
+        else:
+            optimization = _optimize_on(
+                context, cfg, rng, initial_params, cfg.maxiter, cfg.train_noisy
+            )
+        gammas, betas = optimization.gammas, optimization.betas
+    else:
+        gammas = tuple(float(g) for g in params[0])
+        betas = tuple(float(b) for b in params[1])
+    # One kernel evolution gives both EVs; a handed-in point's objective is
+    # one of them.
+    ev_ideal, ev_noisy = _evaluate_point(context, gammas, betas, (False, True))
     if params is not None:
-        gammas, betas = params
-        value = float(objective(context, gammas, betas))
+        value = ev_noisy if cfg.train_noisy else ev_ideal
         optimization = OptimizationResult(
-            gammas=tuple(float(g) for g in gammas),
-            betas=tuple(float(b) for b in betas),
+            gammas=gammas,
+            betas=betas,
             value=value,
             num_evaluations=1,
             history=[value],
         )
-    elif proxy is not None:
-        optimization = _train_with_proxy(
-            context, cfg, rng, proxy, initial_params
-        )
-    else:
-        optimization = _optimize_on(
-            context, cfg, rng, initial_params, cfg.maxiter, cfg.train_noisy
-        )
-    gammas, betas = optimization.gammas, optimization.betas
-    ev_ideal = float(evaluate_ideal(context, gammas, betas))
-    ev_noisy = float(evaluate_noisy(context, gammas, betas))
     return TrainedInstance(
         hamiltonian=hamiltonian,
         config=cfg,
@@ -421,7 +423,7 @@ def _class_table(
 
     def build() -> OutcomeTable:
         probs = qaoa_probabilities(
-            frame, gammas, betas, spectrum=memoized_spectrum(frame)
+            frame, gammas, betas, levels=memoized_phase_levels(frame)
         )
         return OutcomeTable(probs, frame.num_qubits)
 
@@ -441,7 +443,7 @@ def finish_qaoa_instance(
     """Stage 2 of a QAOA run: simulate, sample, and pick the best outcome.
 
     The outcome distribution comes from the fused diagonal QAOA kernel
-    (one phase multiply per cost layer against the memoized spectrum) and
+    (one phase multiply per cost layer through the memoized level table) and
     is sampled through its cumulative table
     (:class:`~repro.sim.sampling.OutcomeTable`), at a cost per shot that
     does not grow with ``2**n``. A member of a shared landscape class
@@ -478,7 +480,7 @@ def finish_qaoa_instance(
                     hamiltonian,
                     opt.gammas,
                     opt.betas,
-                    spectrum=memoized_spectrum(hamiltonian),
+                    levels=memoized_phase_levels(hamiltonian),
                 ),
                 n,
             )

@@ -10,9 +10,9 @@ hardware expectation values.
 One engine serves the training hot path: at p=1 the batched analytic
 closed form evaluates whole ``(gamma, beta)`` point batches over
 precomputed sparse term structures; at p>=2 the fused diagonal statevector
-kernel applies each cost layer as one elementwise phase multiply against
-the memoized energy spectrum (bounded by the simulator's qubit cap). Both
-feed :func:`evaluate_batch`, the objective the optimizer's grid seeds,
+kernel applies each cost layer as one elementwise phase multiply through
+the memoized level table of the energy spectrum (bounded by the
+simulator's qubit cap). Both feed :func:`evaluate_batch`, the objective the optimizer's grid seeds,
 warm-start acceptance tests and landscape scans consume in one kernel call
 per batch, and :func:`value_and_grad_objective`, its exact-gradient twin
 for L-BFGS-B refinement. The gate-level statevector
@@ -29,7 +29,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.cache.memo import memoized_spectrum
+from repro.cache.memo import memoized_phase_levels, memoized_spectrum
 from repro.exceptions import QAOAError
 from repro.ising.hamiltonian import IsingHamiltonian
 from repro.qaoa.analytic import QAOA1Structure
@@ -41,7 +41,11 @@ from repro.sim.depolarizing import (
 )
 from repro.sim.expectation import term_sign_matrix
 from repro.sim.noise import NoiseModel, noise_model_for_transpiled
-from repro.sim.qaoa_kernel import qaoa_probabilities_batch, qaoa_value_and_grad
+from repro.sim.qaoa_kernel import (
+    PhaseLevels,
+    qaoa_probabilities_batch,
+    qaoa_value_and_grad,
+)
 from repro.sim.statevector import MAX_SIM_QUBITS
 from repro.transpile.compiler import TranspileOptions, TranspiledCircuit, transpile
 
@@ -71,6 +75,9 @@ class EvaluationContext:
     _spectrum: "np.ndarray | None" = field(
         default=None, repr=False, compare=False
     )
+    _levels: "PhaseLevels | None" = field(
+        default=None, repr=False, compare=False
+    )
     _signs: "tuple | None" = field(default=None, repr=False, compare=False)
     _weights: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -86,6 +93,12 @@ class EvaluationContext:
             self._spectrum = memoized_spectrum(self.hamiltonian)
         return self._spectrum
 
+    def phase_levels(self) -> PhaseLevels:
+        """The memoized level table the fused kernel's cost layers read."""
+        if self._levels is None:
+            self._levels = memoized_phase_levels(self.hamiltonian)
+        return self._levels
+
     def sign_basis(self) -> tuple:
         """Precomputed spin-sign columns for per-term EVs at p >= 2."""
         if self._signs is None:
@@ -94,12 +107,13 @@ class EvaluationContext:
 
     def __getstate__(self) -> dict:
         # Like IsingHamiltonian.__getstate__: the derived evaluation caches
-        # (term structure, 2**n spectrum, (2**n, T) sign matrix, weights)
-        # are rebuildable and would dominate every pickled run result —
-        # drop them at the process boundary.
+        # (term structure, 2**n spectrum and level table, (2**n, T) sign
+        # matrix, weights) are rebuildable and would dominate every pickled
+        # run result — drop them at the process boundary.
         state = self.__dict__.copy()
         state["_analytic"] = None
         state["_spectrum"] = None
+        state["_levels"] = None
         state["_signs"] = None
         state["_weights"] = {}
         return state
@@ -265,7 +279,7 @@ def evaluate_batch(
 
     The vectorized objective: p=1 goes through the batched analytic closed
     form over the context's precomputed term structure, p>=2 through the
-    fused diagonal statevector kernel against the memoized spectrum. Noise
+    fused diagonal statevector kernel through the memoized level table. Noise
     (``noisy=True``) is folded in as per-term combination weights, so the
     noisy batch costs the same kernel call as the ideal one.
 
@@ -298,13 +312,26 @@ def evaluate_batch(
         return context.analytic_structure().expectations(
             g[:, 0], b[:, 0], weights=context.analytic_weights(noisy)
         )
+    return _kernel_values(context, _kernel_probabilities(context, g, b), noisy)
+
+
+def _kernel_probabilities(
+    context: EvaluationContext, gammas: np.ndarray, betas: np.ndarray
+) -> np.ndarray:
+    """Outcome distributions of a ``(P, p)`` batch from the fused kernel."""
     _check_sim_cap(context)
-    spectrum = context.spectrum()
-    probs = qaoa_probabilities_batch(
-        context.hamiltonian, g, b, spectrum=spectrum
+    return qaoa_probabilities_batch(
+        context.hamiltonian, gammas, betas, levels=context.phase_levels()
     )
+
+
+def _kernel_values(
+    context: EvaluationContext, probs: np.ndarray, noisy: bool
+) -> np.ndarray:
+    """Expectations of ``(P, 2**n)`` kernel distributions: ``probs @
+    spectrum``, or noise folded in as per-term combination weights."""
     if not noisy:
-        return probs @ spectrum
+        return probs @ context.spectrum()
     matrix, __, __ = context.sign_basis()
     term_values = probs @ matrix
     return context.hamiltonian.offset + term_values @ context.sign_weights(True)
@@ -347,7 +374,7 @@ def value_and_grad_objective(context: EvaluationContext, noisy: bool = False):
 
         return evaluate_p1
     _check_sim_cap(context)
-    spectrum = context.spectrum()
+    levels = context.phase_levels()
     observable = context.diagonal_observable(noisy)
 
     def evaluate_adjoint(gammas, betas):
@@ -355,8 +382,8 @@ def value_and_grad_objective(context: EvaluationContext, noisy: bool = False):
             context.hamiltonian,
             np.asarray(gammas, dtype=float),
             np.asarray(betas, dtype=float),
-            spectrum=spectrum,
             observable=observable,
+            levels=levels,
         )
         return value, np.concatenate([grad_g, grad_b])
 
@@ -367,21 +394,31 @@ def _evaluate_point(
     context: EvaluationContext,
     gammas: Sequence[float],
     betas: Sequence[float],
-    noisy: bool,
-) -> float:
-    """One expectation through the engine (a batch of one at p >= 2)."""
+    noisy: "tuple[bool, ...]",
+) -> tuple[float, ...]:
+    """Expectations at one point, one per entry of ``noisy``.
+
+    p = 1 reads the closed form. At p >= 2 every entry reads one kernel
+    evolution (a batch of one) through :func:`evaluate_batch`'s formulas,
+    so a job's ideal and noisy EVs cost one evolution, not two.
+    """
     _check_layers(context, gammas, betas)
     if context.num_layers == 1:
-        return context.analytic_structure().expectation_point(
-            float(gammas[0]), float(betas[0]), context.analytic_weights(noisy)
+        structure = context.analytic_structure()
+        return tuple(
+            float(
+                structure.expectation_point(
+                    float(gammas[0]), float(betas[0]), context.analytic_weights(mode)
+                )
+            )
+            for mode in noisy
         )
-    value = evaluate_batch(
+    probs = _kernel_probabilities(
         context,
         np.asarray(gammas, dtype=float)[None, :],
         np.asarray(betas, dtype=float)[None, :],
-        noisy=noisy,
     )
-    return float(value[0])
+    return tuple(float(_kernel_values(context, probs, mode)[0]) for mode in noisy)
 
 
 def evaluate_ideal(
@@ -390,7 +427,7 @@ def evaluate_ideal(
     betas: Sequence[float],
 ) -> float:
     """Noiseless expectation value at the given parameters."""
-    return _evaluate_point(context, gammas, betas, noisy=False)
+    return _evaluate_point(context, gammas, betas, (False,))[0]
 
 
 def evaluate_noisy(
@@ -403,4 +440,5 @@ def evaluate_noisy(
     With ``fidelity == 1`` and no readout factors this equals
     :func:`evaluate_ideal`.
     """
-    return _evaluate_point(context, gammas, betas, noisy=True)
+    return _evaluate_point(context, gammas, betas, (True,))[0]
+

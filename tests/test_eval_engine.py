@@ -5,9 +5,11 @@ Three layers of agreement, all against independent per-point oracles:
 * the batched p=1 closed form (``QAOA1Structure`` /
   ``qaoa1_expectations_batch``) vs the per-point Python loop of
   ``qaoa1_term_expectations``;
-* the fused diagonal statevector kernel (``sim/qaoa_kernel``) and its one
-  in-place RX mixer vs the gate-by-gate ``simulate_statevector`` on the
-  bound template (batch rows equal single-point calls bit for bit);
+* the fused diagonal statevector kernel (``sim/qaoa_kernel``), its one
+  in-place RX mixer and its level-table cost layer vs the gate-by-gate
+  ``simulate_statevector`` on the bound template, the per-wire formula
+  and the full-length ``exp`` (batch rows equal single-point calls and
+  stacked mixer rows single rows, bit for bit);
 * the ``evaluate_batch`` objective (and the optimizer/scan paths built on
   it) vs ``reference_expectation`` (``tests/conftest.py``): the per-term
   closed form at p=1, the gate-level statevector at p>=2, and noise folded
@@ -27,6 +29,9 @@ import numpy as np
 import pytest
 
 from repro.cache.memo import memoized_spectrum
+from repro.core import SolverConfig
+from repro.core import solver as solver_module
+from repro.core.solver import train_qaoa_instance
 from repro.circuit.circuit import QuantumCircuit
 from repro.devices import get_backend
 from repro.exceptions import QAOAError, SimulationError
@@ -47,7 +52,9 @@ from repro.qaoa import (
     qaoa1_term_expectations,
     value_and_grad_objective,
 )
+from repro.sim import qaoa_kernel
 from repro.sim.qaoa_kernel import (
+    PhaseLevels,
     _apply_mixer,
     qaoa_expectations_batch,
     qaoa_probabilities,
@@ -220,28 +227,35 @@ class TestFusedKernel:
         with pytest.raises(SimulationError):
             qaoa_statevector(big, [0.1], [0.2])
 
+    def test_level_index_length_validated(self):
+        h = EDGE_CASES[1]
+        levels = PhaseLevels.from_spectrum(np.zeros(3), 0.0)
+        with pytest.raises(SimulationError):
+            qaoa_statevector(h, [0.1], [0.2], levels=levels)
+
     def test_spectrum_length_validated(self):
         h = EDGE_CASES[1]
         with pytest.raises(SimulationError):
-            qaoa_statevector(h, [0.1], [0.2], spectrum=np.zeros(3))
+            qaoa_expectations_batch(h, [0.1], [0.2], spectrum=np.zeros(3))
 
 
 class TestApplyMixer:
     """The one RX mixer that sampling, batches and the adjoint share."""
 
     @staticmethod
-    def _random_tensor(rng, num_qubits):
-        state = rng.normal(size=1 << num_qubits) + 1j * rng.normal(
-            size=1 << num_qubits
+    def _random_rows(rng, num_qubits, stack=1):
+        rows = rng.normal(size=(stack, 1 << num_qubits)) + 1j * rng.normal(
+            size=(stack, 1 << num_qubits)
         )
-        return (state / np.linalg.norm(state)).reshape((2,) * num_qubits)
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
     @staticmethod
-    def _per_wire_oracle(tensor, beta):
+    def _per_wire_oracle(state, beta):
         c, s = np.cos(beta), -1j * np.sin(beta)
+        tensor = state.reshape((2,) * (state.size.bit_length() - 1))
         for axis in range(tensor.ndim):
             tensor = c * tensor + s * np.flip(tensor, axis=axis)
-        return tensor
+        return tensor.reshape(-1)
 
     @pytest.mark.parametrize(
         "beta",
@@ -250,29 +264,147 @@ class TestApplyMixer:
     def test_matches_gate_loop_and_per_wire_formula(self, beta):
         rng = np.random.default_rng(89)
         for num_qubits in range(1, 11):
-            tensor = self._random_tensor(rng, num_qubits)
-            start = tensor.copy()
+            rows = self._random_rows(rng, num_qubits)
+            start = rows.copy()
             layer = QuantumCircuit(num_qubits)
             for qubit in range(num_qubits):
                 layer.rx(2.0 * beta, qubit)
-            reference = simulate_statevector(
-                layer, initial_state=start.reshape(-1)
-            )
-            _apply_mixer(tensor, beta, np.empty_like(tensor))
+            reference = simulate_statevector(layer, initial_state=start[0])
+            _apply_mixer(rows, beta, np.empty_like(rows))
             # In place: the input holds the mixed state.
-            assert np.max(np.abs(tensor.reshape(-1) - reference)) < TOL
-            assert np.array_equal(tensor, self._per_wire_oracle(start, beta))
+            assert np.max(np.abs(rows[0] - reference)) < TOL
+            assert np.array_equal(rows[0], self._per_wire_oracle(start[0], beta))
+
+    def test_stacked_rows_equal_single_rows(self):
+        # The adjoint un-applies psi and lambda as one stack: each row must
+        # get the bits it would get on its own.
+        rng = np.random.default_rng(91)
+        for num_qubits in range(1, 11):
+            for beta in (0.4, -1.3, 2.9):
+                stack = self._random_rows(rng, num_qubits, stack=3)
+                singles = stack.copy()
+                _apply_mixer(stack, beta, np.empty_like(stack))
+                for row in singles:
+                    _apply_mixer(row[None], beta, np.empty_like(row[None]))
+                assert np.array_equal(stack, singles)
 
     def test_reused_scratch_gives_same_bits(self):
         rng = np.random.default_rng(97)
         for num_qubits in range(1, 11):
-            scratch = np.full((2,) * num_qubits, np.nan, dtype=complex)
+            scratch = np.full((1, 1 << num_qubits), np.nan, dtype=complex)
             for beta in (0.4, -1.3, 2.9):
-                tensor = self._random_tensor(rng, num_qubits)
-                fresh = tensor.copy()
-                _apply_mixer(tensor, beta, scratch)
+                rows = self._random_rows(rng, num_qubits)
+                fresh = rows.copy()
+                _apply_mixer(rows, beta, scratch)
                 _apply_mixer(fresh, beta, np.empty_like(fresh))
-                assert np.array_equal(tensor, fresh)
+                assert np.array_equal(rows, fresh)
+
+
+def _level_spectra():
+    """``(name, spectrum, offset)`` cases for the level table."""
+    rng = np.random.default_rng(101)
+    pm1 = IsingHamiltonian.from_graph(
+        barabasi_albert_graph(10, 1, seed=3), weights="random_pm1", seed=4
+    )
+    fields = random_powerlaw_instance(7, num_qubits=9)
+    zeros = np.array([0.0, -0.0, 1.5, -0.0, 0.0, 1.5, -2.25, 0.0])
+    return [
+        ("pm1", pm1.energy_landscape(), pm1.offset),
+        ("fractional_fields", fields.energy_landscape(), fields.offset),
+        ("all_distinct", rng.normal(size=1 << 10) * 3.0, 0.25),
+        ("signed_zeros", zeros, 0.0),
+    ]
+
+
+LEVEL_CASES = _level_spectra()
+
+
+class TestPhaseLevels:
+    """The level table replaces one full-length ``exp`` per cost layer."""
+
+    @pytest.mark.parametrize(
+        "name, spectrum, offset", LEVEL_CASES, ids=[c[0] for c in LEVEL_CASES]
+    )
+    def test_diagonal_equals_direct_exp_bit_for_bit(self, name, spectrum, offset):
+        levels = PhaseLevels.from_spectrum(spectrum, offset)
+        phases = spectrum - offset
+        recovered = np.empty_like(phases)
+        levels.phases(out=recovered)
+        assert np.array_equal(recovered.view(np.int64), phases.view(np.int64))
+        for gamma in np.array([0.0, 0.37, -1.9, 2.5, -3.1e-7]):
+            direct = np.exp(-1j * gamma * phases)
+            gathered = np.empty_like(direct)
+            levels.diagonal(gamma, out=gathered)
+            assert np.array_equal(
+                gathered.view(np.int64), direct.view(np.int64)
+            ), (name, gamma)
+
+    def test_index_is_compact(self):
+        cases = {name: (s, o) for name, s, o in LEVEL_CASES}
+        pm1 = PhaseLevels.from_spectrum(*cases["pm1"])
+        assert pm1.values.size <= 256 and pm1.index.dtype == np.uint8
+        distinct = PhaseLevels.from_spectrum(*cases["all_distinct"])
+        assert distinct.values.size == 1 << 10
+        assert distinct.index.dtype == np.uint16
+        # -0.0 and 0.0 are kept apart, so each gathers its own exp.
+        zeros = PhaseLevels.from_spectrum(*cases["signed_zeros"])
+        assert zeros.values.size == 4
+
+
+class TestOneEvolutionPerJob:
+    """A job's ideal and noisy EVs (and a handed-in point's objective) come
+    from one kernel evolution, bit for bit the separate evaluations."""
+
+    PARAMS = ((0.35, -0.6), (0.5, 0.15))
+
+    @staticmethod
+    def _count_evolutions(monkeypatch) -> list:
+        calls = []
+        evolve = qaoa_kernel._evolve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(qaoa_kernel, "_evolve", counting)
+        return calls
+
+    @pytest.mark.parametrize("train_noisy", [True, False])
+    def test_job_handed_params(self, monkeypatch, train_noisy):
+        h = random_powerlaw_instance(53, num_qubits=7)
+        config = SolverConfig(num_layers=2, train_noisy=train_noisy)
+        context = make_context(h, num_layers=2, device=get_backend("montreal"))
+        calls = self._count_evolutions(monkeypatch)
+        trained = train_qaoa_instance(
+            h, config=config, seed=1, context=context, params=self.PARAMS
+        )
+        assert len(calls) == 1
+        ideal = evaluate_ideal(context, *self.PARAMS)
+        noisy = evaluate_noisy(context, *self.PARAMS)
+        assert (trained.ev_ideal, trained.ev_noisy) == (ideal, noisy)
+        assert trained.optimization.value == (noisy if train_noisy else ideal)
+
+    def test_trained_job(self, monkeypatch):
+        h = random_powerlaw_instance(59, num_qubits=6)
+        config = SolverConfig(num_layers=2, grid_resolution=4, maxiter=6)
+        calls = self._count_evolutions(monkeypatch)
+        during_training = []
+        optimize_on = solver_module._optimize_on
+
+        def recording(*args, **kwargs):
+            result = optimize_on(*args, **kwargs)
+            during_training.append(len(calls))
+            return result
+
+        monkeypatch.setattr(solver_module, "_optimize_on", recording)
+        trained = train_qaoa_instance(
+            h, device=get_backend("montreal"), config=config, seed=3
+        )
+        [trained_after] = during_training
+        assert len(calls) == trained_after + 1
+        gammas, betas = trained.optimization.gammas, trained.optimization.betas
+        assert trained.ev_ideal == evaluate_ideal(trained.context, gammas, betas)
+        assert trained.ev_noisy == evaluate_noisy(trained.context, gammas, betas)
 
 
 class TestEvaluateBatch:

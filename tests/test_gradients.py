@@ -7,7 +7,9 @@ Three layers of evidence:
   finite differences to <= 1e-8 on seeded power-law instances and on the
   h-only / J-only / isolated-qubit / noisy-weights edge cases, and the
   adjoint kernel's value and gradients are pinned bit for bit
-  (``ADJOINT_PINS``) on three seeded instances at p = 1, 2, 3;
+  (``ADJOINT_PINS``) on three seeded instances at p = 1, 2, 3, and match
+  the gate-level statevector and finite differences at every size from 1
+  to 14 qubits;
 * the two gradient paths agree with each other at p=1, and the returned
   values match the independent per-point oracles (``reference_expectation``
   in ``tests/conftest.py``: per-term closed form at p=1, gate-level
@@ -35,9 +37,11 @@ from repro.qaoa import (
     qaoa1_expectation_and_grad,
     value_and_grad_objective,
 )
+from repro.qaoa.circuits import build_qaoa_template
 from repro.qaoa.executor import evaluate_ideal
 from repro.qaoa.optimizer import DEFAULT_BETA_RANGE, DEFAULT_GAMMA_RANGE
-from repro.sim.qaoa_kernel import qaoa_value_and_grad
+from repro.sim.qaoa_kernel import qaoa_statevector, qaoa_value_and_grad
+from repro.sim.statevector import simulate_statevector
 from tests.conftest import reference_expectation
 
 FD_TOL = 1e-8
@@ -96,6 +100,39 @@ def adjoint_flat(hamiltonian, gammas, betas, observable=None):
         hamiltonian, np.asarray(gammas), np.asarray(betas), observable=observable
     )
     return value, np.concatenate([grad_g, grad_b])
+
+
+def sized_instance(num_qubits: int) -> IsingHamiltonian:
+    """A seeded instance at any size from 1 qubit up."""
+    if num_qubits >= 3:
+        return random_powerlaw_instance(num_qubits, num_qubits=num_qubits)
+    rng = np.random.default_rng(num_qubits)
+    return IsingHamiltonian(
+        num_qubits,
+        linear=rng.normal(size=num_qubits),
+        quadratic={(0, 1): -0.8} if num_qubits == 2 else {},
+        offset=0.4,
+    )
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 15))
+def test_kernel_matches_gate_level_and_finite_differences(num_qubits):
+    h = sized_instance(num_qubits)
+    spectrum = h.energy_landscape()
+    for num_layers in (1, 2, 3):
+        rng = np.random.default_rng(1000 * num_qubits + num_layers)
+        gammas = rng.uniform(-2, 2, num_layers)
+        betas = rng.uniform(-2, 2, num_layers)
+        template = build_qaoa_template(h, num_layers=num_layers)
+        reference = simulate_statevector(template.bind(gammas, betas))
+        fused = qaoa_statevector(h, gammas, betas)
+        assert np.max(np.abs(fused - reference)) < VALUE_TOL
+        value, grad = adjoint_flat(h, gammas, betas)
+        assert abs(value - np.abs(reference) ** 2 @ spectrum) < VALUE_TOL
+        fd = central_difference(
+            lambda g, b: qaoa_value_and_grad(h, g, b)[0], gammas, betas
+        )
+        assert np.max(np.abs(grad - fd)) < FD_TOL
 
 
 class TestAdjointKernel:
